@@ -1030,7 +1030,8 @@ int cmd_selftest(const std::string& dir) {
   const auto* flow = loaded->index().find(
       {pkt::FlowProto::kTcp, {inmate, 1234}, {web, 80}}, 0);
   if (!flow || !flow->has_verdict ||
-      flow->verdict != shim::Verdict::kRewrite || flow->verdict_cached) {
+      flow->verdict != shim::Verdict::kRewrite ||
+      flow->verdict_source != shim::VerdictSource::kShim) {
     std::fprintf(stderr, "selftest: verdict lost in round trip\n");
     return 1;
   }
@@ -1040,7 +1041,8 @@ int cmd_selftest(const std::string& dir) {
   }
   const auto* spam_flow = loaded->index().find(
       {pkt::FlowProto::kTcp, {inmate, 2345}, {sink, 25}}, 0);
-  if (!spam_flow || !spam_flow->verdict_cached) {
+  if (!spam_flow ||
+      spam_flow->verdict_source != shim::VerdictSource::kCached) {
     std::fprintf(stderr, "selftest: verdict source lost in round trip\n");
     return 1;
   }

@@ -69,19 +69,6 @@ SubfarmRouter* Gateway::subfarm_by_name(const std::string& name) {
   return nullptr;
 }
 
-void Gateway::set_event_handler(FlowEventHandler handler) {
-  if (legacy_subscription_) {
-    telemetry_->bus().unsubscribe(*legacy_subscription_);
-    legacy_subscription_.reset();
-  }
-  legacy_handler_ = std::move(handler);
-  if (!legacy_handler_) return;
-  legacy_subscription_ =
-      telemetry_->bus().subscribe([this](const obs::FarmEvent& event) {
-        if (auto legacy = to_flow_event(event)) legacy_handler_(*legacy);
-      });
-}
-
 SubfarmRouter* Gateway::subfarm_for_vlan(std::uint16_t vlan) {
   for (auto& subfarm : subfarms_)
     if (subfarm->config().owns_vlan(vlan)) return subfarm.get();

@@ -239,7 +239,7 @@ class SubfarmRouter {
                 std::vector<std::uint8_t> payload);
   void emit_udp(util::Endpoint src, util::Endpoint dst,
                 std::vector<std::uint8_t> payload);
-  void report(const Flow& flow, FlowEvent::Kind kind);
+  void report(const Flow& flow, obs::FarmEvent::Kind kind);
   obs::Counter& verdict_counter(shim::Verdict verdict);
   void close_flow(Flow& flow);
   void gc_sweep();

@@ -45,7 +45,6 @@ bool FlowIndex::annotate(const pkt::FlowKey& key, std::uint16_t vlan,
   record->verdict = verdict;
   record->policy_name = policy_name;
   record->verdict_source = source;
-  record->verdict_cached = source == shim::VerdictSource::kCached;
   return true;
 }
 
@@ -172,8 +171,6 @@ std::optional<FlowRecord> parse_flow_record_line(std::string_view line) {
                                 : fields[14] == "table"
                                       ? shim::VerdictSource::kTable
                                       : shim::VerdictSource::kShim;
-    record.verdict_cached =
-        record.verdict_source == shim::VerdictSource::kCached;
   }
   if (fields.size() > 15 && fields[15] != "-") record.tenant = fields[15];
   if (fields.size() > 16) {

@@ -51,8 +51,6 @@ struct FlowRecord {
   /// Where the verdict was resolved: containment-server shim round
   /// trip, gateway verdict cache, or compiled in-gateway policy table.
   shim::VerdictSource verdict_source = shim::VerdictSource::kShim;
-  /// Back-compat alias: verdict_source == kCached.
-  bool verdict_cached = false;
 
   /// Archive location of every captured packet, capture order. Entries
   /// pointing into evicted segments stop resolving (extraction skips

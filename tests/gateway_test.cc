@@ -54,7 +54,7 @@ struct FarmFixture : ::testing::Test {
   net::HostStack inmate2{loop, "inmate2", util::MacAddr::local(0x202), 22};
   std::unique_ptr<svc::DhcpClient> dhcp1, dhcp2;
   std::unique_ptr<cs::ContainmentServer> cs;
-  std::vector<gw::FlowEvent> events;
+  std::vector<obs::FarmEvent> events;
 
   // Sink bookkeeping.
   int sink_tcp_accepts = 0;
@@ -67,8 +67,15 @@ struct FarmFixture : ::testing::Test {
     gwc.mgmt_addr = kGwMgmt;
     gwc.mgmt_net = kMgmtNet;
     gateway = std::make_unique<gw::Gateway>(loop, gwc);
-    gateway->set_event_handler(
-        [this](const gw::FlowEvent& event) { events.push_back(event); });
+    // The gateway's own report stream: the five flow-lifecycle kinds.
+    for (auto kind : {obs::FarmEvent::Kind::kFlowOpen,
+                      obs::FarmEvent::Kind::kFlowVerdict,
+                      obs::FarmEvent::Kind::kFlowClose,
+                      obs::FarmEvent::Kind::kSafetyReject,
+                      obs::FarmEvent::Kind::kDhcpBind})
+      gateway->telemetry().bus().subscribe(
+          kind,
+          [this](const obs::FarmEvent& event) { events.push_back(event); });
 
     gw::SubfarmConfig sfc;
     sfc.name = "TestFarm";
@@ -179,10 +186,49 @@ TEST_F(FarmFixture, DefaultDenyDropsFlow) {
   ASSERT_FALSE(events.empty());
   bool saw_drop = false;
   for (const auto& event : events)
-    if (event.kind == gw::FlowEvent::Kind::kVerdict &&
+    if (event.kind == obs::FarmEvent::Kind::kFlowVerdict &&
         event.verdict == shim::Verdict::kDrop)
       saw_drop = true;
   EXPECT_TRUE(saw_drop);
+}
+
+TEST_F(FarmFixture, V2ResponseShimFailsClosedAtVerdictDeadline) {
+  // A containment server answering in the retired wire v2: a valid
+  // FORWARD response whose version byte reads 2. The router never
+  // accepts it, so the flow waits out its verdict deadline and the
+  // fail-closed DROP applies; the FORWARD never reaches the web server.
+  subfarm->set_fail_closed(shim::Verdict::kDrop, util::seconds(5));
+  std::vector<std::shared_ptr<net::TcpConnection>> cs_legs;
+  cs_host.listen(kCsPort, [&](std::shared_ptr<net::TcpConnection> leg) {
+    cs_legs.push_back(leg);
+    std::weak_ptr<net::TcpConnection> weak = leg;
+    leg->on_data = [weak, answered = false](
+                       std::span<const std::uint8_t>) mutable {
+      auto cs_leg = weak.lock();
+      if (!cs_leg || answered) return;
+      answered = true;
+      shim::ResponseShim response;
+      response.verdict = shim::Verdict::kForward;
+      response.policy_name = "LegacyV2";
+      auto bytes = response.encode();
+      bytes[7] = 2;
+      cs_leg->send(bytes);
+    };
+  });
+  bool web_accepted = false;
+  web.listen(80, [&](std::shared_ptr<net::TcpConnection>) {
+    web_accepted = true;
+  });
+  auto conn = inmate1.connect({kWebAddr, 80});
+  loop.run_for(util::seconds(15));
+  EXPECT_EQ(cs_legs.size(), 1u);
+  EXPECT_FALSE(web_accepted);
+  EXPECT_EQ(subfarm->fail_closed_verdicts(), 1u);
+  std::vector<std::string> verdict_policies;
+  for (const auto& event : events)
+    if (event.kind == obs::FarmEvent::Kind::kFlowVerdict)
+      verdict_policies.push_back(event.policy_name);
+  EXPECT_EQ(verdict_policies, std::vector<std::string>{"FailClosed"});
 }
 
 TEST_F(FarmFixture, ForwardVerdictSplicesAndNats) {
@@ -364,7 +410,7 @@ TEST_F(FarmFixture, CustomLimitRateSurvivesTypedShimRoundTrip) {
   // annotation.
   bool saw_limit = false;
   for (const auto& event : events) {
-    if (event.kind == gw::FlowEvent::Kind::kVerdict &&
+    if (event.kind == obs::FarmEvent::Kind::kFlowVerdict &&
         event.verdict == shim::Verdict::kLimit) {
       saw_limit = true;
       ASSERT_TRUE(event.limit_bytes_per_sec.has_value());
@@ -598,7 +644,7 @@ TEST_P(VerdictEventSweep, EventCarriesVerdict) {
   loop.run_for(util::seconds(15));
   bool seen = false;
   for (const auto& event : events) {
-    if (event.kind == gw::FlowEvent::Kind::kVerdict &&
+    if (event.kind == obs::FarmEvent::Kind::kFlowVerdict &&
         event.verdict == verdict && event.policy_name == "OnePolicy")
       seen = true;
   }

@@ -58,6 +58,7 @@ struct RunResult {
   std::vector<std::string> lines;
   std::uint64_t cc_requests = 0;
   std::uint64_t cross_shard_messages = 0;
+  std::uint64_t overflow_dropped = 0;  // Frames lost to full mailboxes.
   unsigned effective_threads = 0;
 };
 
@@ -82,6 +83,7 @@ RunResult run_spam_farm(std::uint64_t seed, unsigned threads,
   result.lines = farm.merged_event_lines();
   result.cc_requests = cc.requests();
   result.cross_shard_messages = farm.lockstep_stats().messages;
+  result.overflow_dropped = farm.lockstep_stats().overflow_dropped;
   result.effective_threads = farm.threads();
   return result;
 }
@@ -106,10 +108,14 @@ TEST(ShardedFarm, SerialAndParallelStreamsAreBitIdentical) {
   ASSERT_FALSE(serial.lines.empty());
   EXPECT_GT(serial.cc_requests, 0u);
   EXPECT_GT(serial.cross_shard_messages, 0u);
+  // A full mailbox drops frames silently; equal loss on both sides would
+  // still compare equal, so the loss itself must be zero.
+  EXPECT_EQ(serial.overflow_dropped, 0u);
 
   for (unsigned threads : {2u, 4u}) {
     const RunResult parallel = run_spam_farm(kSeed, threads, 4, duration);
     EXPECT_EQ(parallel.effective_threads, threads);
+    EXPECT_EQ(parallel.overflow_dropped, 0u) << threads << " threads";
     EXPECT_EQ(parallel.cc_requests, serial.cc_requests);
     EXPECT_EQ(parallel.cross_shard_messages, serial.cross_shard_messages);
     ASSERT_EQ(joined(parallel.lines), joined(serial.lines))

@@ -71,13 +71,10 @@ TEST(ResponseShim, WireSizes) {
   ResponseShim shim;
   shim.verdict = Verdict::kForward;
   shim.policy_name = "Rustock";
-  // v3 (the default) appends the 16-byte cache block to the 68-byte v2
-  // layout; 68 remains the floor any well-formed response must clear.
+  // 68 bytes of verdict layout plus the 16-byte cache block; 84 is the
+  // floor any well-formed response must clear.
   EXPECT_EQ(shim.encode().size(), 84u);
-  EXPECT_EQ(kResponseShimV3MinSize, 84u);
-  EXPECT_EQ(kResponseShimMinSize, 68u);
-  shim.wire_version = kShimVersionV2;
-  EXPECT_EQ(shim.encode().size(), 68u);
+  EXPECT_EQ(kResponseShimMinSize, 84u);
 }
 
 TEST(ResponseShim, RoundTripWithAnnotation) {
@@ -169,7 +166,6 @@ TEST(ResponseShim, CacheBlockRoundTrips) {
   EXPECT_EQ(parsed->cache_ttl_ms, 30000u);
   EXPECT_EQ(parsed->policy_epoch, 7u);
   EXPECT_EQ(parsed->annotation, "cacheable scan admit");
-  EXPECT_EQ(parsed->wire_version, kShimVersion);
 }
 
 TEST(ResponseShim, EpochCarriedOnUncacheableResponses) {
@@ -182,31 +178,21 @@ TEST(ResponseShim, EpochCarriedOnUncacheableResponses) {
   EXPECT_EQ(parsed->policy_epoch, 42u);
 }
 
-TEST(ResponseShim, V2FramesStillParseAndAreNeverCacheable) {
+TEST(ResponseShim, V2FramesAreRejected) {
   ResponseShim shim;
   shim.verdict = Verdict::kLimit;
   shim.policy_name = "Throttle";
   shim.limit_bytes_per_sec = 2048;
   shim.annotation = "legacy emitter";
-  // Even if a v2 emitter somehow set the cache fields, the v2 frame
-  // cannot carry them: they must come back zeroed.
-  shim.cacheable = true;
-  shim.cache_ttl_ms = 9999;
-  shim.policy_epoch = 99;
-  shim.wire_version = kShimVersionV2;
   auto bytes = shim.encode();
-  EXPECT_EQ(bytes.size(), 68u + shim.annotation.size());
-  std::size_t consumed = 0;
-  auto parsed = ResponseShim::parse(bytes, &consumed);
-  ASSERT_TRUE(parsed);
-  EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(parsed->wire_version, kShimVersionV2);
-  EXPECT_FALSE(parsed->cacheable);
-  EXPECT_EQ(parsed->cache_ttl_ms, 0u);
-  EXPECT_EQ(parsed->policy_epoch, 0u);
-  ASSERT_TRUE(parsed->limit_bytes_per_sec.has_value());
-  EXPECT_EQ(*parsed->limit_bytes_per_sec, 2048);
-  EXPECT_EQ(parsed->annotation, "legacy emitter");
+  ASSERT_TRUE(ResponseShim::parse(bytes));
+  ASSERT_TRUE(complete_shim_length(bytes, kTypeResponse));
+  // The preamble's version byte (offset 7) names wire v2: neither the
+  // parser nor the stream scanner may accept the frame.
+  ASSERT_EQ(bytes[7], kShimVersion);
+  bytes[7] = 2;
+  EXPECT_FALSE(ResponseShim::parse(bytes));
+  EXPECT_FALSE(complete_shim_length(bytes, kTypeResponse));
 }
 
 TEST(ResponseShim, RejectsInvalidCacheScope) {

@@ -269,7 +269,6 @@ TEST(FlowIndex, RestoreRebuildsBidirectionalFindAfterSaveLoadRoundTrip) {
   EXPECT_TRUE(table_flow->has_verdict);
   EXPECT_EQ(table_flow->verdict, shim::Verdict::kDrop);
   EXPECT_EQ(table_flow->verdict_source, shim::VerdictSource::kTable);
-  EXPECT_FALSE(table_flow->verdict_cached);
   EXPECT_EQ(table_flow->policy_name, "dns-table");
   // Wrong VLAN still misses.
   EXPECT_EQ(restored.find(table_key, 13), nullptr);

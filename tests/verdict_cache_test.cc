@@ -253,10 +253,10 @@ TEST(VerdictCacheFarm, RepeatFlowsSkipTheShimRoundTrip) {
   CacheFarm f;
   f.bind(std::make_shared<CacheablePolicy>(shim::Verdict::kForward,
                                            shim::CacheScope::kDstEndpoint));
-  std::vector<bool> cached_flags;
+  std::vector<shim::VerdictSource> sources;
   f.farm.telemetry().bus().subscribe([&](const obs::FarmEvent& e) {
     if (e.kind == obs::FarmEvent::Kind::kFlowVerdict)
-      cached_flags.push_back(e.verdict_cached);
+      sources.push_back(e.verdict_source);
   });
 
   EXPECT_EQ(f.exchange("first"), "first");
@@ -275,15 +275,17 @@ TEST(VerdictCacheFarm, RepeatFlowsSkipTheShimRoundTrip) {
   EXPECT_EQ(f.web_accepts, 3);
 
   // The event stream labels each verdict with its source.
-  ASSERT_EQ(cached_flags.size(), 3u);
-  EXPECT_FALSE(cached_flags[0]);
-  EXPECT_TRUE(cached_flags[1]);
-  EXPECT_TRUE(cached_flags[2]);
+  ASSERT_EQ(sources.size(), 3u);
+  EXPECT_EQ(sources[0], shim::VerdictSource::kShim);
+  EXPECT_EQ(sources[1], shim::VerdictSource::kCached);
+  EXPECT_EQ(sources[2], shim::VerdictSource::kCached);
 
   // And the per-flow trace index carries the same annotation.
   std::size_t cached_in_trace = 0;
   for (const auto& flow : f.sub->router().trace().index().flows())
-    if (flow.has_verdict && flow.verdict_cached) ++cached_in_trace;
+    if (flow.has_verdict &&
+        flow.verdict_source == shim::VerdictSource::kCached)
+      ++cached_in_trace;
   EXPECT_EQ(cached_in_trace, 2u);
 }
 
