@@ -2,8 +2,9 @@
 // per-packet costs behind §6's implementation — header parse/serialize,
 // checksums, whole-frame decode/re-encode (the gateway's NAT/rewrite
 // path), shim encode/parse, flow-table keying, policy decisions,
-// trigger matching, MD5 hashing, switch forwarding, and the telemetry
-// primitives (counter bump, histogram observe, event-bus publish).
+// trigger matching, MD5 hashing, switch forwarding, the telemetry
+// primitives (counter bump, histogram observe, event-bus publish), and
+// FlowDB's per-open costs (the footer seal hash, a full segment parse).
 // After the benchmarks it runs a miniature farm and prints the built-in
 // flow-decision latency histogram plus a JSON dump of every metric.
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "containment/policies.h"
 #include "containment/trigger.h"
 #include "core/farm.h"
+#include "flowdb/flowdb.h"
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
 #include "obs/events.h"
@@ -347,6 +349,53 @@ void BM_EventBusPublish(benchmark::State& state) {
   benchmark::DoNotOptimize(seen);
 }
 BENCHMARK(BM_EventBusPublish)->Arg(0)->Arg(1)->Arg(4);
+
+// FlowDB verifies every byte of a segment on each open: the footer seal
+// hash over the whole file, then the zone-block recompute. A 32768-row
+// segment (two scan chunks) is about 2.6 MB.
+std::vector<std::uint8_t> flowdb_segment_32k() {
+  util::Rng rng(0xFDB32);
+  flowdb::Writer writer;
+  for (std::int64_t i = 0; i < 32768; ++i) {
+    flowdb::Row row;
+    row.src = {Ipv4Addr(10, 20, 0, static_cast<std::uint8_t>(rng.below(200))),
+               static_cast<std::uint16_t>(rng.range(1024, 65000))};
+    row.dst = {Ipv4Addr(10, 120, 0, static_cast<std::uint8_t>(rng.below(64))),
+               static_cast<std::uint16_t>(rng.chance(0.5) ? 80 : 25)};
+    row.vlan = 200;
+    row.tenant = "seg-t" + std::to_string(rng.below(6));
+    row.verdict = static_cast<std::uint8_t>(1 + rng.below(6));
+    row.policy = "default";
+    row.tap = "bench";
+    row.packets = 1 + rng.below(200);
+    row.bytes = row.packets * (60 + rng.below(1400));
+    row.first_usec = i * 500;
+    row.last_usec = row.first_usec + static_cast<std::int64_t>(rng.below(900));
+    writer.add(std::move(row));
+  }
+  return writer.encode();
+}
+
+void BM_FlowDbSealHash(benchmark::State& state) {
+  const auto bytes = flowdb_segment_32k();
+  for (auto _ : state) benchmark::DoNotOptimize(flowdb::seal_hash(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FlowDbSealHash);
+
+void BM_FlowDbOpen32k(benchmark::State& state) {
+  const auto bytes = flowdb_segment_32k();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto copy = bytes;  // parse() takes ownership of its buffer.
+    state.ResumeTiming();
+    auto reader = flowdb::Reader::parse(std::move(copy));
+    if (!reader) state.SkipWithError("segment failed validation");
+    benchmark::DoNotOptimize(reader);
+  }
+}
+BENCHMARK(BM_FlowDbOpen32k)->Unit(benchmark::kMillisecond);
 
 // A miniature farm serving a burst of contained flows, to demonstrate
 // the gateway's built-in instrumentation: the inmate-SYN-to-verdict-

@@ -89,8 +89,11 @@ struct ZoneInputs {
   const std::uint32_t* tenant = nullptr;
 };
 
+/// `dict(id)` names dictionary id `id` < `dict_size`; any larger id
+/// reads as the empty name, exactly as Reader::dict() does.
 template <typename DictFn>
-ZoneMap compute_zone(const ZoneInputs& in, DictFn&& dict) {
+ZoneMap compute_zone(const ZoneInputs& in, std::uint64_t dict_size,
+                     DictFn&& dict) {
   ZoneMap z{};
   z.row_count = in.n;
   // Empty-range sentinels; never consulted when row_count == 0.
@@ -104,6 +107,11 @@ ZoneMap compute_zone(const ZoneInputs& in, DictFn&& dict) {
   z.max_packets = 0;
   z.min_bytes = std::numeric_limits<std::uint64_t>::max();
   z.max_bytes = 0;
+  // Tenant names are dictionary ids and bloom_add is idempotent, so each
+  // distinct id's key is added once after the row pass. The memo is
+  // sized by the dictionary, never by an id: every out-of-range id
+  // shares the last slot, the empty name.
+  std::vector<std::uint8_t> tenant_seen(dict_size + 1, 0);
   for (std::uint64_t i = 0; i < in.n; ++i) {
     z.min_first_usec = std::min(z.min_first_usec, in.first[i]);
     z.max_last_usec = std::max(z.max_last_usec, in.last[i]);
@@ -115,9 +123,16 @@ ZoneMap compute_zone(const ZoneInputs& in, DictFn&& dict) {
     z.max_packets = std::max(z.max_packets, in.packets[i]);
     z.min_bytes = std::min(z.min_bytes, in.bytes[i]);
     z.max_bytes = std::max(z.max_bytes, in.bytes[i]);
-    bloom_add(z.bloom, bloom_key_tenant(dict(in.tenant[i])));
+    tenant_seen[std::min<std::uint64_t>(in.tenant[i], dict_size)] = 1;
     bloom_add(z.bloom, bloom_key_endpoint(in.saddr[i]));
     bloom_add(z.bloom, bloom_key_endpoint(in.daddr[i]));
+  }
+  for (std::uint64_t id = 0; id <= dict_size; ++id) {
+    if (!tenant_seen[id]) continue;
+    bloom_add(z.bloom,
+              bloom_key_tenant(id < dict_size
+                                   ? dict(static_cast<std::uint32_t>(id))
+                                   : std::string_view()));
   }
   return z;
 }
@@ -180,6 +195,75 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
     hash *= 1099511628211ull;
   }
   return hash;
+}
+
+namespace {
+
+constexpr std::uint64_t kXxP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kXxP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kXxP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kXxP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kXxP5 = 0x27D4EB2F165667C5ull;
+
+constexpr std::uint64_t rotl64(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+
+std::uint64_t read64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+std::uint32_t read32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+constexpr std::uint64_t xx_round(std::uint64_t acc, std::uint64_t input) {
+  return rotl64(acc + input * kXxP2, 31) * kXxP1;
+}
+
+constexpr std::uint64_t xx_merge(std::uint64_t acc, std::uint64_t lane) {
+  return (acc ^ xx_round(0, lane)) * kXxP1 + kXxP4;
+}
+
+}  // namespace
+
+std::uint64_t seal_hash(std::span<const std::uint8_t> bytes) {
+  const std::uint8_t* p = bytes.data();
+  std::size_t left = bytes.size();
+  std::uint64_t h;
+  if (left >= 32) {
+    // Seed 0: the four lanes start at P1+P2, P2, 0 and -P1.
+    std::uint64_t v1 = kXxP1 + kXxP2, v2 = kXxP2, v3 = 0, v4 = 0 - kXxP1;
+    for (; left >= 32; p += 32, left -= 32) {
+      v1 = xx_round(v1, read64(p));
+      v2 = xx_round(v2, read64(p + 8));
+      v3 = xx_round(v3, read64(p + 16));
+      v4 = xx_round(v4, read64(p + 24));
+    }
+    h = rotl64(v1, 1) + rotl64(v2, 7) + rotl64(v3, 12) + rotl64(v4, 18);
+    h = xx_merge(xx_merge(xx_merge(xx_merge(h, v1), v2), v3), v4);
+  } else {
+    h = kXxP5;
+  }
+  h += bytes.size();
+  for (; left >= 8; p += 8, left -= 8)
+    h = rotl64(h ^ xx_round(0, read64(p)), 27) * kXxP1 + kXxP4;
+  if (left >= 4) {
+    h = rotl64(h ^ (read32(p) * kXxP1), 23) * kXxP2 + kXxP3;
+    p += 4;
+    left -= 4;
+  }
+  for (; left > 0; ++p, --left) h = rotl64(h ^ (*p * kXxP5), 11) * kXxP1;
+  h ^= h >> 33;
+  h *= kXxP2;
+  h ^= h >> 29;
+  h *= kXxP3;
+  h ^= h >> 32;
+  return h;
 }
 
 Row row_from(const trace::FlowRecord& record, std::string_view tap_name) {
@@ -320,8 +404,8 @@ std::vector<std::uint8_t> Writer::encode() const {
                            c_saddr.data(),
                            c_daddr.data(),
                            c_tenant.data()};
-  const ZoneMap zone =
-      compute_zone(zone_in, [&](std::uint32_t id) { return dict[id]; });
+  const ZoneMap zone = compute_zone(
+      zone_in, dict.size(), [&](std::uint32_t id) { return dict[id]; });
   const std::vector<ChunkZone> chunk_zones =
       compute_chunk_zones(n, c_first.data(), c_last.data());
   header.zone_offset = align8(header.blob_offset + blob.size());
@@ -349,7 +433,7 @@ std::vector<std::uint8_t> Writer::encode() const {
   append_raw(out, &zone, 1);
   append_raw(out, chunk_zones.data(), chunk_zones.size());
   pad_to(out, header.footer_offset);
-  const std::uint64_t hash = fnv1a(out);
+  const std::uint64_t hash = seal_hash(out);
   append_raw(out, &hash, 1);
   append_raw(out, &kEndMagic, 1);
 
@@ -464,7 +548,7 @@ bool Reader::validate_and_index() {
   std::memcpy(&stored_hash, base_ + h.footer_offset, 8);
   std::memcpy(&end_magic, base_ + h.footer_offset + 8, 8);
   if (end_magic != kEndMagic) return false;
-  if (fnv1a({base_, h.footer_offset}) != stored_hash) return false;
+  if (seal_hash({base_, h.footer_offset}) != stored_hash) return false;
 
   const std::uint64_t limit = h.footer_offset;
   if (h.columns_offset % 8 != 0 ||
@@ -556,7 +640,7 @@ bool Reader::validate_and_index() {
       static_cast<const std::uint32_t*>(cols_[3]),
       static_cast<const std::uint32_t*>(cols_[6])};
   const ZoneMap want_zone = compute_zone(
-      zone_in, [this](std::uint32_t id) { return dict(id); });
+      zone_in, dict_count_, [this](std::uint32_t id) { return dict(id); });
   if (std::memcmp(zone_, &want_zone, sizeof(ZoneMap)) != 0) return false;
   const std::vector<ChunkZone> want_chunks =
       compute_chunk_zones(rows_, zone_in.first, zone_in.last);

@@ -18,8 +18,8 @@
 //   LocEntry[nloc]        (segment, offset) archive locations, shared
 //   column data           one contiguous fixed-width array per column
 //   string blob           dictionary bytes (tenant/policy/tap names)
-//   ZoneMap + ChunkZone[] skip-scan metadata (format v2, see below)
-//   Footer                FNV-1a 64 over everything above + end magic
+//   ZoneMap + ChunkZone[] skip-scan metadata (since format v2, see below)
+//   Footer                seal_hash over everything above + end magic
 //
 // Format v2 adds the zone block: a per-file ZoneMap (min/max over
 // timestamps, VLANs, ports, packet/byte counters, plus a 1 KiB k=4
@@ -34,9 +34,12 @@
 //
 // The footer hash makes corruption (truncation, bit rot, a writer that
 // died mid-file) a load-time rejection instead of a silent wrong
-// answer; the fuzz suite (tests/fuzz_parse_test.cc) sweeps mutated
-// stores against the reader with the same reject-or-parse contract as
-// the wire codecs.
+// answer. Format v3 seals with seal_hash (XXH64, 8 bytes per step over
+// four lanes) in place of v2's byte-serial FNV-1a, so verifying every
+// byte on open runs near memory bandwidth; v2 files are rejected like
+// any other unknown version. The fuzz suite (tests/fuzz_parse_test.cc)
+// sweeps mutated stores against the reader with the same reject-or-
+// parse contract as the wire codecs.
 //
 // Writers are append-then-seal: add rows (or whole TraceTap indexes),
 // then encode()/save(). Readers are immutable views; the query engine
@@ -60,7 +63,7 @@ namespace gq::flowdb {
 
 inline constexpr std::uint64_t kMagic = 0x0000314244465147ull;    // "GQFDB1"
 inline constexpr std::uint64_t kEndMagic = 0x444E454244465147ull; // "GQFDBEND"
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 /// Fixed scan-chunk size (rows). Part of the determinism contract: the
 /// chunk grid never depends on the thread count — and since v2 also
@@ -167,9 +170,16 @@ void bloom_add(std::uint8_t* bloom, std::uint64_t key);
 [[nodiscard]] bool bloom_may_contain(const std::uint8_t* bloom,
                                      std::uint64_t key);
 
-/// FNV-1a 64 over a byte range (the integrity footer, and handy for
-/// callers hashing query results).
+/// FNV-1a 64 over a byte range (the manifest's zone-block pin, and
+/// handy for callers hashing query results).
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
+
+/// The integrity footer's hash since format v3: XXH64 with seed 0, as
+/// published (four 8-byte lanes over 32-byte stripes, then an 8/4/1-
+/// byte tail and the avalanche). Words are read in host order like
+/// every other integer in the file, which on the little-endian hosts
+/// the format assumes gives the published values.
+std::uint64_t seal_hash(std::span<const std::uint8_t> bytes);
 
 /// One flow record as the store models it: canonical 5-tuple + VLAN,
 /// tenant/job identity, verdict + source + policy, counters,

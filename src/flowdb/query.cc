@@ -143,44 +143,67 @@ std::vector<std::uint64_t> scan(const Reader& reader, const Filter& filter,
   return matches;
 }
 
-std::vector<Agg> aggregate(const Reader& reader,
-                           std::span<const std::uint64_t> rows,
-                           GroupBy group) {
-  const auto verdicts = reader.verdict();
-  const auto tenants = reader.tenant();
-  const auto policies = reader.policy();
-  const auto taps = reader.tap();
+namespace {
+
+/// Running sums of one group slot.
+struct GroupSums {
+  std::uint64_t flows = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Aggregate the rows `for_each_row` visits (each index < rows()).
+/// Rows are first summed into a flat array indexed by the raw group key
+/// — the verdict byte, or the dictionary id, with every out-of-range id
+/// sharing one extra slot that reads as the empty name like
+/// Reader::dict() — and each used slot's label is resolved once. Slots
+/// can share a label (unknown verdicts all read "?", a dictionary may
+/// name "" or a string twice), so they merge by label at the end.
+template <typename ForEachRow>
+std::vector<Agg> aggregate_rows(const Reader& reader, GroupBy group,
+                                ForEachRow&& for_each_row) {
   const auto packets = reader.packets();
   const auto bytes = reader.bytes();
-  const auto label_of = [&](std::uint64_t i) -> std::string {
-    switch (group) {
-      case GroupBy::kVerdict:
-        return verdicts[i] == 0
-                   ? "none"
-                   : shim::verdict_name(
-                         static_cast<shim::Verdict>(verdicts[i]));
-      case GroupBy::kTenant: {
-        const auto name = reader.dict(tenants[i]);
-        return name.empty() ? "-" : std::string(name);
-      }
-      case GroupBy::kPolicy: {
-        const auto name = reader.dict(policies[i]);
-        return name.empty() ? "-" : std::string(name);
-      }
-      case GroupBy::kTap: {
-        const auto name = reader.dict(taps[i]);
-        return name.empty() ? "-" : std::string(name);
-      }
-    }
-    return "?";
+  std::vector<GroupSums> sums;
+  const auto tally = [&](auto slot_of) {
+    for_each_row([&](std::uint64_t i) {
+      GroupSums& s = sums[slot_of(i)];
+      s.flows += 1;
+      s.packets += packets[i];
+      s.bytes += bytes[i];
+    });
+  };
+  const std::uint64_t dict_size = reader.dict_size();
+  if (group == GroupBy::kVerdict) {
+    sums.resize(256);
+    const auto verdicts = reader.verdict();
+    tally([&](std::uint64_t i) { return verdicts[i]; });
+  } else {
+    sums.resize(dict_size + 1);
+    const auto ids = group == GroupBy::kTenant   ? reader.tenant()
+                     : group == GroupBy::kPolicy ? reader.policy()
+                                                 : reader.tap();
+    tally([&](std::uint64_t i) {
+      return std::min<std::uint64_t>(ids[i], dict_size);
+    });
+  }
+  const auto label_of = [&](std::uint64_t slot) -> std::string {
+    if (group == GroupBy::kVerdict)
+      return slot == 0 ? "none"
+                       : shim::verdict_name(static_cast<shim::Verdict>(slot));
+    const std::string_view name =
+        slot < dict_size ? reader.dict(static_cast<std::uint32_t>(slot))
+                         : std::string_view();
+    return name.empty() ? "-" : std::string(name);
   };
   std::map<std::string, Agg> buckets;  // map: label-sorted for free.
-  for (const std::uint64_t i : rows) {
-    if (i >= reader.rows()) continue;
-    Agg& bucket = buckets[label_of(i)];
-    bucket.flows += 1;
-    bucket.packets += packets[i];
-    bucket.bytes += bytes[i];
+  for (std::uint64_t slot = 0; slot < sums.size(); ++slot) {
+    const GroupSums& s = sums[slot];
+    if (s.flows == 0) continue;
+    Agg& bucket = buckets[label_of(slot)];
+    bucket.flows += s.flows;
+    bucket.packets += s.packets;
+    bucket.bytes += s.bytes;
   }
   std::vector<Agg> out;
   out.reserve(buckets.size());
@@ -191,10 +214,21 @@ std::vector<Agg> aggregate(const Reader& reader,
   return out;
 }
 
+}  // namespace
+
+std::vector<Agg> aggregate(const Reader& reader,
+                           std::span<const std::uint64_t> rows,
+                           GroupBy group) {
+  return aggregate_rows(reader, group, [&](auto&& add) {
+    for (const std::uint64_t i : rows)
+      if (i < reader.rows()) add(i);
+  });
+}
+
 std::vector<Agg> aggregate_all(const Reader& reader, GroupBy group) {
-  std::vector<std::uint64_t> all(reader.rows());
-  for (std::uint64_t i = 0; i < all.size(); ++i) all[i] = i;
-  return aggregate(reader, all, group);
+  return aggregate_rows(reader, group, [&](auto&& add) {
+    for (std::uint64_t i = 0; i < reader.rows(); ++i) add(i);
+  });
 }
 
 VerdictDiff diff_verdicts(const Reader& a, const Reader& b) {

@@ -56,7 +56,7 @@ struct SegmentInfo {
   std::string file;               ///< Relative name inside the store dir.
   std::uint64_t rows = 0;
   std::uint64_t bytes = 0;        ///< Exact file size.
-  std::uint64_t footer_hash = 0;  ///< The segment's sealed FNV-1a footer.
+  std::uint64_t footer_hash = 0;  ///< The segment's sealed seal_hash footer.
   std::uint64_t zone_hash = 0;    ///< FNV-1a over the zone block region.
 
   friend bool operator==(const SegmentInfo&, const SegmentInfo&) = default;

@@ -4,25 +4,45 @@
 // reconstructed rows, the serial-vs-parallel bit-identity contract at
 // 1/2/4 threads, aggregation kernels, and the verdict-distribution
 // diff gate. FlowDbReject covers the load-time rejection contract:
-// corrupt footers, truncation, and self-declared-length lies must all
-// come back nullopt, never a crash or over-read.
+// corrupt footers, truncation, self-declared-length lies and retired
+// format versions must all come back nullopt, never a crash or
+// over-read. FlowDbSeal pins the footer's seal hash (XXH64) and
+// FlowDbAggregate holds the grouped aggregate kernels to a per-row
+// reference.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <numeric>
+#include <ostream>
+#include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flowdb/flowdb.h"
 #include "flowdb/query.h"
 #include "flowdb/store.h"
 #include "obs/metrics.h"
+#include "shim/shim.h"
 #include "trace/flow_index.h"
 #include "util/rng.h"
 
 namespace gq {
+namespace flowdb {
+
+// Readable gtest failure messages for aggregate comparisons.
+void PrintTo(const Agg& agg, std::ostream* os) {
+  *os << "{" << agg.label << " flows=" << agg.flows
+      << " packets=" << agg.packets << " bytes=" << agg.bytes << "}";
+}
+
+}  // namespace flowdb
+
 namespace {
 
 flowdb::Row sample_row(std::uint64_t i, util::Rng& rng) {
@@ -307,17 +327,19 @@ TEST(FlowDbReject, TruncationAlwaysRejected) {
   }
 }
 
+/// Re-seal a store's footer after an edit, so that only structural
+/// validation (not the integrity check) can catch the edit.
+std::vector<std::uint8_t> reseal(std::vector<std::uint8_t> bytes) {
+  const std::size_t footer_offset = bytes.size() - 16;
+  const std::uint64_t hash = flowdb::seal_hash({bytes.data(), footer_offset});
+  std::memcpy(bytes.data() + footer_offset, &hash, 8);
+  return bytes;
+}
+
 TEST(FlowDbReject, SelfDeclaredLengthLiesRejected) {
   // Corrupt individual header fields, then re-seal the footer hash so
   // only the header validation (not the integrity check) can catch it.
   const auto pristine = sample_writer(64, 0xFDB0103).encode();
-  const auto reseal = [](std::vector<std::uint8_t> bytes) {
-    const std::uint64_t footer_offset = bytes.size() - 16;
-    const std::uint64_t hash =
-        flowdb::fnv1a({bytes.data(), footer_offset});
-    std::memcpy(bytes.data() + footer_offset, &hash, 8);
-    return bytes;
-  };
   const auto poke_u64 = [&](std::size_t offset, std::uint64_t value) {
     auto bytes = pristine;
     std::memcpy(bytes.data() + offset, &value, 8);
@@ -363,6 +385,74 @@ TEST(FlowDbReject, BadMagicAndVersionRejected) {
   EXPECT_FALSE(flowdb::Reader::open(temp_path("flowdb_no_such_store.fdb")));
 }
 
+TEST(FlowDbReject, Version2FilesAreRejected) {
+  // Format v3 keeps no v2 read path: a file that claims version 2 fails
+  // closed, whether its footer is resealed with the v3 seal or with the
+  // FNV-1a footer a v2 writer would have produced.
+  auto bytes = sample_writer(64, 0xFDB0106).encode();
+  ASSERT_TRUE(flowdb::Reader::parse(bytes));
+  const std::uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 8, &v2, sizeof v2);
+  EXPECT_FALSE(flowdb::Reader::parse(reseal(bytes)));
+  const std::size_t footer_offset = bytes.size() - 16;
+  const std::uint64_t fnv = flowdb::fnv1a({bytes.data(), footer_offset});
+  std::memcpy(bytes.data() + footer_offset, &fnv, 8);
+  EXPECT_FALSE(flowdb::Reader::parse(std::move(bytes)));
+}
+
+// --- Segment seal (format v3) ---------------------------------------------
+
+std::uint64_t seal_of(std::string_view text) {
+  return flowdb::seal_hash(
+      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+}
+
+TEST(FlowDbSeal, MatchesPublishedXxh64) {
+  EXPECT_EQ(seal_of(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(seal_of("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(seal_of("abc"), 0x44BC2CF5AD770999ull);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+  EXPECT_EQ(seal_of("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+}
+
+TEST(FlowDbSeal, EveryTailLengthIsDeterministic) {
+  // Lengths 0..40 take the short path (< 32 bytes) and then one stripe
+  // plus every 8-, 4- and 1-byte tail combination. Each must give the
+  // same seal at any buffer alignment, whatever bytes lie around the
+  // range, and every prefix must seal differently.
+  util::Rng rng(0xFDB0201);
+  std::vector<std::uint8_t> data(40);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  std::set<std::uint64_t> seen;
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const std::uint64_t seal = flowdb::seal_hash({data.data(), len});
+    for (std::size_t shift = 0; shift < 8; ++shift) {
+      std::vector<std::uint8_t> framed(shift + len + 8);
+      for (auto& b : framed) b = static_cast<std::uint8_t>(rng.next());
+      std::copy(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(len),
+                framed.begin() + static_cast<std::ptrdiff_t>(shift));
+      EXPECT_EQ(flowdb::seal_hash({framed.data() + shift, len}), seal)
+          << "length " << len << " at offset " << shift;
+    }
+    EXPECT_TRUE(seen.insert(seal).second) << "length " << len;
+  }
+}
+
+TEST(FlowDbSeal, EverySingleBitFlipChangesTheSeal) {
+  util::Rng rng(0xFDB0202);
+  std::vector<std::uint8_t> buf(4096);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint64_t pristine = flowdb::seal_hash(buf);
+  for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+    const auto mask = static_cast<std::uint8_t>(1u << (bit & 7));
+    buf[bit >> 3] ^= mask;
+    ASSERT_NE(flowdb::seal_hash(buf), pristine) << "bit " << bit;
+    buf[bit >> 3] ^= mask;
+  }
+  EXPECT_EQ(flowdb::seal_hash(buf), pristine);
+}
+
 TEST(FlowDbReject, LyingLocationsAreClampedNotOverRead) {
   // A row whose loc_start/loc_count point past the shared location
   // array must come back clamped (possibly empty), never over-read.
@@ -387,6 +477,177 @@ TEST(FlowDbSmoke, EmptyStoreRoundTrips) {
   EXPECT_TRUE(flowdb::scan(*reader, {}).empty());
   EXPECT_TRUE(flowdb::aggregate_all(*reader, flowdb::GroupBy::kVerdict)
                   .empty());
+}
+
+// --- Aggregate kernels vs. a per-row reference ----------------------------
+
+/// The per-row aggregate the grouped kernels replaced: one label string
+/// and one std::map probe per row. Kept here as the reference that
+/// aggregate() and aggregate_all() must equal exactly.
+std::vector<flowdb::Agg> reference_aggregate(
+    const flowdb::Reader& reader, std::span<const std::uint64_t> rows,
+    flowdb::GroupBy group) {
+  const auto label_of = [&](std::uint64_t i) -> std::string {
+    switch (group) {
+      case flowdb::GroupBy::kVerdict: {
+        const std::uint8_t v = reader.verdict()[i];
+        return v == 0 ? "none"
+                      : shim::verdict_name(static_cast<shim::Verdict>(v));
+      }
+      case flowdb::GroupBy::kTenant: {
+        const auto name = reader.dict(reader.tenant()[i]);
+        return name.empty() ? "-" : std::string(name);
+      }
+      case flowdb::GroupBy::kPolicy: {
+        const auto name = reader.dict(reader.policy()[i]);
+        return name.empty() ? "-" : std::string(name);
+      }
+      case flowdb::GroupBy::kTap: {
+        const auto name = reader.dict(reader.tap()[i]);
+        return name.empty() ? "-" : std::string(name);
+      }
+    }
+    return "?";
+  };
+  std::map<std::string, flowdb::Agg> buckets;
+  for (const std::uint64_t i : rows) {
+    if (i >= reader.rows()) continue;
+    flowdb::Agg& bucket = buckets[label_of(i)];
+    bucket.flows += 1;
+    bucket.packets += reader.packets()[i];
+    bucket.bytes += reader.bytes()[i];
+  }
+  std::vector<flowdb::Agg> out;
+  for (auto& [label, bucket] : buckets) {
+    bucket.label = label;
+    out.push_back(bucket);
+  }
+  return out;
+}
+
+void expect_aggregates_match_reference(const flowdb::Reader& reader,
+                                       const std::vector<std::uint64_t>& rows,
+                                       int store) {
+  std::vector<std::uint64_t> all(reader.rows());
+  std::iota(all.begin(), all.end(), 0);
+  for (const auto group :
+       {flowdb::GroupBy::kVerdict, flowdb::GroupBy::kTenant,
+        flowdb::GroupBy::kPolicy, flowdb::GroupBy::kTap}) {
+    EXPECT_EQ(flowdb::aggregate(reader, rows, group),
+              reference_aggregate(reader, rows, group))
+        << "store " << store << " group " << static_cast<int>(group);
+    EXPECT_EQ(flowdb::aggregate_all(reader, group),
+              reference_aggregate(reader, all, group))
+        << "store " << store << " group " << static_cast<int>(group);
+  }
+}
+
+/// Row ids for aggregate(): in-range ids with duplicates, plus ids just
+/// past the end and near the top of the id space.
+std::vector<std::uint64_t> random_row_ids(util::Rng& rng, std::uint64_t n) {
+  std::vector<std::uint64_t> rows;
+  const auto count = rng.below(2 * n + 8);
+  for (std::uint64_t k = 0; k < count; ++k) {
+    switch (rng.below(8)) {
+      case 0: rows.push_back(n + rng.below(4)); break;
+      case 1: rows.push_back(~std::uint64_t{0} - rng.below(4)); break;
+      default:
+        if (n > 0) rows.push_back(rng.below(n));
+    }
+  }
+  return rows;
+}
+
+/// Absolute offset of column `name`'s data array in a sealed store.
+std::size_t column_data_offset(const std::vector<std::uint8_t>& bytes,
+                               const char* name) {
+  flowdb::FileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof header);
+  for (std::uint32_t c = 0; c < header.column_count; ++c) {
+    flowdb::ColumnDesc desc;
+    std::memcpy(&desc,
+                bytes.data() + header.columns_offset + c * sizeof desc,
+                sizeof desc);
+    if (std::strcmp(desc.name, name) == 0)
+      return static_cast<std::size_t>(desc.offset);
+  }
+  return 0;
+}
+
+TEST(FlowDbAggregate, GroupedKernelsMatchPerRowReference) {
+  util::Rng rng(0xFDB0401);
+  for (int store = 0; store < 40; ++store) {
+    const auto reader = flowdb::Reader::parse(
+        sample_writer(rng.below(3000), rng.next()).encode());
+    ASSERT_TRUE(reader);
+    expect_aggregates_match_reference(
+        *reader, random_row_ids(rng, reader->rows()), store);
+  }
+}
+
+TEST(FlowDbAggregate, ResealedStoresMatchPerRowReference) {
+  // Edits that leave the zone block valid, resealed so the store still
+  // parses: policy/tap ids anywhere in or past the dictionary, tenant
+  // ids past it on rows whose tenant is already empty (an out-of-range
+  // id names "" too), arbitrary verdict bytes, and dictionary entries
+  // no tenant uses turned empty or into duplicates of other names.
+  util::Rng rng(0xFDB0402);
+  for (int store = 0; store < 40; ++store) {
+    auto bytes = sample_writer(1 + rng.below(500), rng.next()).encode();
+    const auto pristine = flowdb::Reader::parse(bytes);
+    ASSERT_TRUE(pristine);
+    const std::uint64_t n = pristine->rows();
+    const std::uint64_t dict_size = pristine->dict_size();
+    const auto past_dict = [&]() -> std::uint32_t {
+      return rng.chance(0.5)
+                 ? static_cast<std::uint32_t>(dict_size + rng.below(2))
+                 : 0xFFFFFFFFu - static_cast<std::uint32_t>(rng.below(4));
+    };
+    const auto any_id = [&]() -> std::uint32_t {
+      return rng.chance(0.5) ? static_cast<std::uint32_t>(rng.below(dict_size))
+                             : past_dict();
+    };
+    const auto poke_u32 = [&](const char* column, std::uint64_t row,
+                              std::uint32_t value) {
+      std::memcpy(bytes.data() + column_data_offset(bytes, column) + row * 4,
+                  &value, 4);
+    };
+    std::set<std::uint32_t> tenant_ids;
+    for (std::uint64_t r = 0; r < n; ++r) {
+      const std::uint32_t tenant = pristine->tenant()[r];
+      tenant_ids.insert(tenant);
+      if (rng.chance(0.2)) poke_u32("policy", r, any_id());
+      if (rng.chance(0.2)) poke_u32("tap", r, any_id());
+      if (rng.chance(0.2)) {
+        bytes[column_data_offset(bytes, "verdict") + r] =
+            static_cast<std::uint8_t>(rng.next());
+      }
+      if (pristine->dict(tenant).empty() && rng.chance(0.5))
+        poke_u32("tenant", r, past_dict());
+    }
+    flowdb::FileHeader header;
+    std::memcpy(&header, bytes.data(), sizeof header);
+    for (std::uint32_t id = 1; id < dict_size; ++id) {
+      if (tenant_ids.count(id) || rng.chance(0.5)) continue;
+      flowdb::DictEntry entry;
+      const auto at = header.dict_offset + id * sizeof entry;
+      if (rng.chance(0.5)) {
+        std::memcpy(&entry, bytes.data() + at, sizeof entry);
+        entry.len = 0;  // An empty name at a non-zero id.
+      } else {
+        // A duplicate of another entry's name.
+        const auto other = rng.below(dict_size);
+        std::memcpy(&entry,
+                    bytes.data() + header.dict_offset + other * sizeof entry,
+                    sizeof entry);
+      }
+      std::memcpy(bytes.data() + at, &entry, sizeof entry);
+    }
+    const auto reader = flowdb::Reader::parse(reseal(std::move(bytes)));
+    ASSERT_TRUE(reader) << "store " << store;
+    expect_aggregates_match_reference(*reader, random_row_ids(rng, n),
+                                      store);
+  }
 }
 
 // --- Zone-map / bloom pruning ---------------------------------------------
@@ -847,7 +1108,7 @@ TEST(FlowDbStore, TamperedSegmentsNeverScanWrong) {
     flowdb::FileHeader header;
     std::memcpy(&header, tampered.data(), sizeof header);
     tampered[header.zone_offset + 64] ^= 0xFF;  // A bloom byte.
-    const std::uint64_t resealed = flowdb::fnv1a(
+    const std::uint64_t resealed = flowdb::seal_hash(
         {tampered.data(), static_cast<std::size_t>(header.footer_offset)});
     std::memcpy(tampered.data() + header.footer_offset, &resealed, 8);
     write_bytes(seg_path, tampered);

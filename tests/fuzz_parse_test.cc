@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <set>
 #include <span>
 #include <string>
@@ -29,6 +32,58 @@
 #include "shim/shim.h"
 #include "shim/table_sync.h"
 #include "util/rng.h"
+
+// Allocation watch for FuzzFlowDb.HugeTenantIdsNeitherAllocateNorChange-
+// Verdict: while armed, the largest single operator-new request is
+// recorded, and a request above the cap is refused with std::bad_alloc
+// instead of served — a buffer sized by a hostile id fails that test
+// rather than allocating gigabytes. Every non-aligned new/delete form is
+// replaced, so that each allocation pairs with a matching release (the
+// sanitizer lanes check that pairing).
+namespace {
+std::atomic<bool> g_alloc_watch{false};
+std::atomic<std::size_t> g_alloc_largest{0};
+constexpr std::size_t kAllocWatchCap = std::size_t{1} << 24;
+
+void* watched_alloc(std::size_t size) {
+  if (g_alloc_watch.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_alloc_largest.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !g_alloc_largest.compare_exchange_weak(seen, size)) {
+    }
+    if (size > kAllocWatchCap) throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line so that GCC does not pair the inlined free() with an
+// operator new and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void watched_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) { return watched_alloc(size); }
+void* operator new[](std::size_t size) { return watched_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return watched_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p) noexcept { watched_free(p); }
+void operator delete[](void* p) noexcept { watched_free(p); }
+void operator delete(void* p, std::size_t) noexcept { watched_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { watched_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  watched_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  watched_free(p);
+}
 
 namespace gq {
 namespace {
@@ -674,6 +729,13 @@ std::vector<std::uint8_t> random_store(util::Rng& rng) {
   return writer.encode();
 }
 
+/// Recompute a sealed store's footer hash over its (edited) bytes.
+void reseal_footer(std::vector<std::uint8_t>& buf) {
+  const std::size_t footer_offset = buf.size() - 16;
+  const std::uint64_t hash = flowdb::seal_hash({buf.data(), footer_offset});
+  std::memcpy(buf.data() + footer_offset, &hash, 8);
+}
+
 /// Corrupt one aligned u64 anywhere in the file, then re-seal the
 /// footer hash — a "self-declared-length lie" the integrity check
 /// cannot catch, forcing the structural validation to do the work.
@@ -683,9 +745,7 @@ void corrupt_and_reseal(util::Rng& rng, std::vector<std::uint8_t>& buf) {
   std::uint64_t value = rng.next();
   if (rng.chance(0.5)) value = rng.below(2 * buf.size());  // Plausible sizes.
   std::memcpy(buf.data() + slot * 8, &value, 8);
-  const std::uint64_t footer_offset = buf.size() - 16;
-  const std::uint64_t hash = flowdb::fnv1a({buf.data(), footer_offset});
-  std::memcpy(buf.data() + footer_offset, &hash, 8);
+  reseal_footer(buf);
 }
 
 TEST(FuzzFlowDb, MutatedStoresRejectOrParseNeverCrash) {
@@ -752,10 +812,7 @@ TEST(FuzzFlowDb, ResealedZoneLiesAreDetectedOrHarmless) {
       const std::size_t at = zone_begin + rng.below(zone_end - zone_begin);
       buf[at] = static_cast<std::uint8_t>(rng.next());
     }
-    const std::size_t footer_offset = buf.size() - 16;
-    const std::uint64_t resealed =
-        flowdb::fnv1a({buf.data(), footer_offset});
-    std::memcpy(buf.data() + footer_offset, &resealed, 8);
+    reseal_footer(buf);
     const bool changed = !std::equal(buf.begin() + zone_begin,
                                      buf.begin() + zone_end,
                                      original.begin() + zone_begin);
@@ -766,6 +823,80 @@ TEST(FuzzFlowDb, ResealedZoneLiesAreDetectedOrHarmless) {
       ASSERT_TRUE(reader) << "case " << i;
     }
   }
+}
+
+/// Absolute offset of column `name`'s data array in a sealed store.
+std::size_t column_data_offset(const std::vector<std::uint8_t>& buf,
+                               const char* name) {
+  flowdb::FileHeader header;
+  std::memcpy(&header, buf.data(), sizeof header);
+  for (std::uint32_t c = 0; c < header.column_count; ++c) {
+    flowdb::ColumnDesc desc;
+    std::memcpy(&desc, buf.data() + header.columns_offset + c * sizeof desc,
+                sizeof desc);
+    if (std::strcmp(desc.name, name) == 0)
+      return static_cast<std::size_t>(desc.offset);
+  }
+  return 0;
+}
+
+TEST(FuzzFlowDb, HugeTenantIdsNeitherAllocateNorChangeVerdict) {
+  // Rewrite tenant ids to values past the dictionary — mostly near
+  // 0xFFFFFFFF, sometimes exactly dict_size() — and re-seal, so only the
+  // zone recompute can judge the file. An out-of-range id names the
+  // empty tenant (Reader::dict()), so the file must parse exactly when
+  // the bloom rebuilt row by row from those names equals the stored
+  // one; and validating it must allocate nothing larger than the file.
+  util::Rng rng(0xF00D0015);
+  int parsed = 0, rejected = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    auto buf = random_store(rng);
+    const auto pristine = flowdb::Reader::parse(buf);
+    ASSERT_TRUE(pristine);
+    const std::uint64_t rows = pristine->rows();
+    if (rows == 0) continue;
+    const std::size_t tenant_at = column_data_offset(buf, "tenant");
+    ASSERT_NE(tenant_at, 0u);
+    std::vector<std::uint32_t> ids(pristine->tenant().begin(),
+                                   pristine->tenant().end());
+    const auto pokes = 1 + rng.below(3);
+    for (std::uint64_t p = 0; p < pokes; ++p) {
+      const auto row = rng.below(rows);
+      ids[row] = rng.chance(0.8)
+                     ? 0xFFFFFFFFu - static_cast<std::uint32_t>(rng.below(8))
+                     : static_cast<std::uint32_t>(pristine->dict_size());
+      std::memcpy(buf.data() + tenant_at + row * 4, &ids[row], 4);
+    }
+    reseal_footer(buf);
+
+    std::uint8_t want_bloom[flowdb::kBloomBytes] = {};
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      flowdb::bloom_add(want_bloom,
+                        flowdb::bloom_key_tenant(pristine->dict(ids[r])));
+      flowdb::bloom_add(want_bloom, flowdb::bloom_key_endpoint(
+                                        pristine->src_addr()[r]));
+      flowdb::bloom_add(want_bloom, flowdb::bloom_key_endpoint(
+                                        pristine->dst_addr()[r]));
+    }
+    const bool want_parse = std::memcmp(want_bloom, pristine->zone().bloom,
+                                        flowdb::kBloomBytes) == 0;
+
+    const std::size_t size = buf.size();
+    g_alloc_largest = 0;
+    g_alloc_watch = true;
+    const auto reader = flowdb::Reader::parse(std::move(buf));
+    g_alloc_watch = false;
+    ASSERT_LE(g_alloc_largest.load(), size) << "case " << i;
+    ASSERT_EQ(reader.has_value(), want_parse) << "case " << i;
+    ++(reader ? parsed : rejected);
+    if (reader) {
+      for (std::uint64_t r = 0; r < rows; ++r)
+        ASSERT_EQ(reader->row(r).tenant, pristine->dict(ids[r]));
+    }
+  }
+  // Both verdicts occur: the sweep is not vacuous either way.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // --- FlowDB store manifest (flowdb::StoreManifest::parse) -----------------
