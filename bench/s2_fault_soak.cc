@@ -11,6 +11,7 @@
 //   build/bench/s2_fault_soak --smoke   # 3 simulated minutes per row
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -21,7 +22,7 @@
 
 #include "containment/policy.h"
 #include "core/farm.h"
-#include "flowdb/flowdb.h"
+#include "flowdb/store.h"
 #include "netsim/fault.h"
 #include "packet/frame.h"
 #include "packet/pcap.h"
@@ -386,26 +387,30 @@ int main(int argc, char** argv) {
   }
   json.end_array();
 
-  // Compact the sweep's flow records into a queryable column store; a
-  // reader must be able to mmap it back (same validation the tooling
+  // Compact the sweep's flow records into a one-segment FlowDB store; a
+  // full scan must read every row back (the same validation the tooling
   // runs) before the numbers are trusted.
-  const std::string store_path = "BENCH_s2_flows.fdb";
-  if (!flow_store.save(store_path)) {
-    std::fprintf(stderr, "s2: cannot write %s\n", store_path.c_str());
+  const std::string store_dir = "BENCH_s2_flows";
+  std::error_code ec;
+  std::filesystem::remove_all(store_dir, ec);
+  auto store = flowdb::SegmentedStore::open(store_dir);
+  if (!store || !store->append_segment(flow_store)) {
+    std::fprintf(stderr, "s2: cannot write %s\n", store_dir.c_str());
     return 1;
   }
-  const auto store = flowdb::Reader::open(store_path);
-  if (!store || store->rows() != flow_store.row_count()) {
+  auto reader = flowdb::SegmentedReader::open(store_dir);
+  const auto all_rows = reader ? reader->scan({}) : std::nullopt;
+  if (!all_rows || all_rows->size() != flow_store.row_count()) {
     std::fprintf(stderr, "s2: %s failed reopen validation\n",
-                 store_path.c_str());
+                 store_dir.c_str());
     return 1;
   }
   json.key("flowdb_path");
-  json.value(store_path);
+  json.value(store_dir);
   json.key("flowdb_rows");
-  json.value(static_cast<std::uint64_t>(store->rows()));
+  json.value(static_cast<std::uint64_t>(reader->rows()));
   json.key("flowdb_bytes");
-  json.value(static_cast<std::uint64_t>(store->file_bytes()));
+  json.value(reader->manifest().total_bytes());
   json.end_object();
 
   if (!util::json_valid(json.str())) {
@@ -453,6 +458,6 @@ int main(int argc, char** argv) {
               "%llu flows compacted into %s\n",
               static_cast<unsigned long long>(total_trace_evictions),
               static_cast<unsigned long long>(flow_store.row_count()),
-              store_path.c_str());
+              store_dir.c_str());
   return 0;
 }

@@ -1,5 +1,5 @@
 // FlowDB scan-throughput bench (EXPERIMENTS.md S7): compacts a
-// >= 100k-flow index into a `.fdb` column store and races the query
+// >= 100k-flow index into a one-segment FlowDB store and races the query
 // engine against the pre-FlowDB answer path — a linear reload of the
 // archive's flows.txt sidecar with a per-flow predicate pass. Self-
 // gating, per the PR 5/6 convention: exits nonzero unless
@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
 
   const auto flows = synth_flows();
   const std::string dir = "s7_baseline_archive";
-  const std::string store_path = "s7_store.fdb";
+  const std::string store_dir = "s7_store";
   if (!write_baseline_archive(dir, flows)) {
     std::fprintf(stderr, "s7: cannot write baseline archive\n");
     return 1;
@@ -444,14 +444,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "s7: encoding is not deterministic\n");
     return 1;
   }
-  {
-    std::ofstream out(store_path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(encoded.data()),
-              static_cast<std::streamsize>(encoded.size()));
-    if (!out) {
-      std::fprintf(stderr, "s7: cannot write %s\n", store_path.c_str());
-      return 1;
-    }
+  std::error_code ec;
+  std::filesystem::remove_all(store_dir, ec);
+  if (auto store = flowdb::SegmentedStore::open(store_dir);
+      !store || !store->append_segment(writer)) {
+    std::fprintf(stderr, "s7: cannot write %s\n", store_dir.c_str());
+    return 1;
   }
 
   const auto queries = query_set(smoke);
@@ -491,26 +489,27 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // FlowDB: mmap open + serial scan, cold each round for symmetry.
+    // FlowDB: store open (manifest, zone tail, mmap + full validation)
+    // + serial scan, cold each round for symmetry.
     const auto flowdb_start = std::chrono::steady_clock::now();
-    auto reader = flowdb::Reader::open(store_path);
-    if (!reader) {
-      std::fprintf(stderr, "s7: cannot open %s\n", store_path.c_str());
+    auto reader = flowdb::SegmentedReader::open(store_dir);
+    const auto matches = reader ? reader->scan(query.filter) : std::nullopt;
+    const double flowdb_ms = ms_since(flowdb_start);
+    if (!matches) {
+      std::fprintf(stderr, "s7: cannot open or scan %s\n", store_dir.c_str());
       return 1;
     }
-    const auto matches = flowdb::scan(*reader, query.filter);
-    const double flowdb_ms = ms_since(flowdb_start);
 
-    if (matches.size() != baseline_matches) {
+    if (matches->size() != baseline_matches) {
       std::fprintf(stderr, "s7: %s disagreed (flowdb %zu vs baseline %zu)\n",
-                   query.name, matches.size(), baseline_matches);
+                   query.name, matches->size(), baseline_matches);
       ok = false;
     }
     // Parallelism contract: bit-identical results at 1/2/4 threads.
     for (const unsigned threads : {2u, 4u}) {
       flowdb::ScanOptions options;
       options.threads = threads;
-      if (flowdb::scan(*reader, query.filter, options) != matches) {
+      if (reader->scan(query.filter, options) != matches) {
         std::fprintf(stderr, "s7: %s parallel scan (%u threads) diverged\n",
                      query.name, threads);
         ok = false;
@@ -521,12 +520,12 @@ int main(int argc, char** argv) {
     flowdb_total_ms += flowdb_ms;
     const double speedup = flowdb_ms > 0.0 ? baseline_ms / flowdb_ms : 0.0;
     std::printf("%-28s %10zu %12.2f %12.3f %8.1fx\n", query.name,
-                matches.size(), baseline_ms, flowdb_ms, speedup);
+                matches->size(), baseline_ms, flowdb_ms, speedup);
     json.begin_object();
     json.key("name");
     json.value(query.name);
     json.key("matches");
-    json.value(static_cast<std::uint64_t>(matches.size()));
+    json.value(static_cast<std::uint64_t>(matches->size()));
     json.key("baseline_ms");
     json.value(baseline_ms);
     json.key("flowdb_ms");

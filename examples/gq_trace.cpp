@@ -1,5 +1,5 @@
 // gq_trace: operator CLI over saved trace archives (trace/tap.h) and
-// compacted FlowDB stores (flowdb/flowdb.h).
+// FlowDB store directories (flowdb/store.h).
 //
 //   gq_trace selftest [dir]          capture synthetic traffic, save,
 //                                    reload, and exercise every command
@@ -8,25 +8,22 @@
 //   gq_trace extract <dir> <flow#> [out.pcap]
 //                                    extract one flow's packets (O(flow),
 //                                    via the index locations — no rescan)
-//   gq_trace compact <out.fdb> <dir>...
-//                                    compact saved archives into one
-//                                    columnar store
 //   gq_trace query <store> [filters] [--threads N] [--limit N]
-//                                    predicate scan; <store> is a .fdb
-//                                    file or a segmented store dir.
+//                                    predicate scan over a store dir.
 //                                    Prints pruning statistics;
 //                                    --no-prune disables skip-scans
 //   gq_trace stat <store> [filters] [--by verdict|tenant|policy|tap]
 //                                    aggregated counters per group over
 //                                    the rows matching the filters
 //   gq_trace segments <dir>          manifest + zone-map table of a
-//                                    segmented store
+//                                    store
 //   gq_trace appendseg <dir> <archive>...
 //                                    compact saved archives into one
 //                                    new sealed segment of store <dir>
+//                                    (created on first use)
 //   gq_trace compactseg <dir> [max]  deterministic size-tiered merge
 //                                    down to at most max segments
-//   gq_trace diff <a.fdb> <b.fdb> [--tolerance F]
+//   gq_trace diff <a> <b> [--tolerance F]
 //                                    verdict-distribution comparison;
 //                                    exits nonzero past the tolerance
 //                                    (the cross-run regression gate)
@@ -216,38 +213,6 @@ int cmd_extract(const std::string& dir, std::size_t flow_no,
 
 // --- FlowDB subcommands ---------------------------------------------------
 
-int cmd_compact(const std::string& out_path,
-                const std::vector<std::string>& dirs) {
-  flowdb::Writer writer;
-  for (const auto& dir : dirs) {
-    auto tap = trace::load_trace(dir);
-    if (!tap) {
-      std::fprintf(stderr, "gq_trace: cannot load archive at %s\n",
-                   dir.c_str());
-      return 1;
-    }
-    writer.add_tap(*tap);
-  }
-  if (!writer.save(out_path)) {
-    std::fprintf(stderr, "gq_trace: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("compacted %zu archives, %zu flows -> %s\n", dirs.size(),
-              writer.row_count(), out_path.c_str());
-  return 0;
-}
-
-std::optional<flowdb::Reader> open_store(const std::string& path) {
-  auto reader = flowdb::Reader::open(path);
-  if (!reader) {
-    std::fprintf(stderr,
-                 "gq_trace: cannot open store %s (missing, corrupt, or "
-                 "wrong version)\n",
-                 path.c_str());
-  }
-  return reader;
-}
-
 void print_row(const flowdb::Row& row, std::uint64_t i) {
   std::printf("#%-6llu %s %s -> %s vlan %u  %llu pkts / %llu B",
               static_cast<unsigned long long>(i), proto_name(row.proto),
@@ -425,91 +390,63 @@ std::optional<flowdb::SegmentedReader> open_store_dir(
   return store;
 }
 
-/// Run a filter against a `.fdb` file or a segmented store dir,
-/// returning global row ids (nullopt on store corruption). `row_of`
-/// semantics match scan() ids on both paths.
-struct StoreScan {
-  std::optional<flowdb::Reader> file;
-  std::optional<flowdb::SegmentedReader> dir;
-  std::vector<std::uint64_t> matches;
-  flowdb::ScanStats stats;
-
-  [[nodiscard]] std::uint64_t rows() const {
-    return file ? file->rows() : dir->rows();
-  }
-  [[nodiscard]] std::uint64_t bytes() const {
-    return file ? file->file_bytes() : dir->manifest().total_bytes();
-  }
-  [[nodiscard]] flowdb::Row row_of(std::uint64_t id) {
-    if (file) return file->row(id);
-    auto row = dir->row(id);
-    return row ? *row : flowdb::Row{};
-  }
-  [[nodiscard]] std::optional<std::vector<flowdb::Agg>> aggregate(
-      flowdb::GroupBy group) {
-    if (file) return flowdb::aggregate(*file, matches, group);
-    return dir->aggregate(matches, group);
-  }
-};
-
-std::optional<StoreScan> scan_store(const std::string& path,
-                                    const QueryArgs& args) {
-  StoreScan result;
+/// Run the query's filter over `store`, filling `stats`; nullopt (with
+/// a message) when a segment fails validation.
+std::optional<std::vector<std::uint64_t>> scan_store(
+    flowdb::SegmentedReader& store, const std::string& dir,
+    const QueryArgs& args, flowdb::ScanStats& stats) {
   flowdb::ScanOptions options;
   options.threads = args.threads;
   options.prune = args.prune;
-  options.stats = &result.stats;
-  if (std::filesystem::is_directory(path)) {
-    result.dir = open_store_dir(path);
-    if (!result.dir) return std::nullopt;
-    auto matches = result.dir->scan(args.filter, options);
-    if (!matches) {
-      std::fprintf(stderr,
-                   "gq_trace: scan failed — a segment of %s failed "
-                   "validation\n",
-                   path.c_str());
-      return std::nullopt;
-    }
-    result.matches = std::move(*matches);
-  } else {
-    result.file = open_store(path);
-    if (!result.file) return std::nullopt;
-    result.matches = flowdb::scan(*result.file, args.filter, options);
+  options.stats = &stats;
+  auto matches = store.scan(args.filter, options);
+  if (!matches) {
+    std::fprintf(stderr,
+                 "gq_trace: scan failed — a segment of %s failed "
+                 "validation\n",
+                 dir.c_str());
   }
-  return result;
+  return matches;
 }
 
-int cmd_query(const std::string& path, const QueryArgs& args) {
-  auto scan = scan_store(path, args);
-  if (!scan) return 1;
+int cmd_query(const std::string& dir, const QueryArgs& args) {
+  auto store = open_store_dir(dir);
+  if (!store) return 1;
+  flowdb::ScanStats stats;
+  const auto matches = scan_store(*store, dir, args, stats);
+  if (!matches) return 1;
   std::uint64_t shown = 0;
-  for (const auto i : scan->matches) {
+  for (const auto i : *matches) {
     if (args.limit && shown >= args.limit) break;
-    print_row(scan->row_of(i), i);
+    const auto row = store->row(i);
+    print_row(row ? *row : flowdb::Row{}, i);
     ++shown;
   }
-  if (args.limit && scan->matches.size() > shown)
-    std::printf("(%zu more matches)\n", scan->matches.size() - shown);
-  std::printf("%zu of %llu flows matched\n", scan->matches.size(),
-              static_cast<unsigned long long>(scan->rows()));
-  print_scan_stats(scan->stats);
+  if (args.limit && matches->size() > shown)
+    std::printf("(%zu more matches)\n", matches->size() - shown);
+  std::printf("%zu of %llu flows matched\n", matches->size(),
+              static_cast<unsigned long long>(store->rows()));
+  print_scan_stats(stats);
   return 0;
 }
 
-int cmd_stat(const std::string& path, const QueryArgs& args) {
-  auto scan = scan_store(path, args);
-  if (!scan) return 1;
+int cmd_stat(const std::string& dir, const QueryArgs& args) {
+  auto store = open_store_dir(dir);
+  if (!store) return 1;
+  flowdb::ScanStats stats;
+  const auto matches = scan_store(*store, dir, args, stats);
+  if (!matches) return 1;
   const auto group = args.group == "tenant"   ? flowdb::GroupBy::kTenant
                      : args.group == "policy" ? flowdb::GroupBy::kPolicy
                      : args.group == "tap"    ? flowdb::GroupBy::kTap
                                               : flowdb::GroupBy::kVerdict;
-  std::printf("store %s: %llu flows, %llu B\n\n", path.c_str(),
-              static_cast<unsigned long long>(scan->rows()),
-              static_cast<unsigned long long>(scan->bytes()));
-  const auto aggs = scan->aggregate(group);
+  std::printf("store %s: %llu flows, %llu B\n\n", dir.c_str(),
+              static_cast<unsigned long long>(store->rows()),
+              static_cast<unsigned long long>(store->manifest().total_bytes()));
+  const auto aggs = store->aggregate(*matches, group);
   if (!aggs) {
     std::fprintf(stderr, "gq_trace: aggregation failed on %s\n",
-                 path.c_str());
+                 dir.c_str());
     return 1;
   }
   std::printf("%-16s %10s %14s %16s\n", args.group.c_str(), "flows",
@@ -520,7 +457,7 @@ int cmd_stat(const std::string& path, const QueryArgs& args) {
                 static_cast<unsigned long long>(agg.packets),
                 static_cast<unsigned long long>(agg.bytes));
   }
-  print_scan_stats(scan->stats);
+  print_scan_stats(stats);
   return 0;
 }
 
@@ -615,15 +552,21 @@ int cmd_compactseg(const std::string& dir, std::size_t max_segments) {
   return 0;
 }
 
-int cmd_diff(const std::string& path_a, const std::string& path_b,
+int cmd_diff(const std::string& dir_a, const std::string& dir_b,
              double tolerance) {
-  const auto a = open_store(path_a);
-  const auto b = open_store(path_b);
+  auto a = open_store_dir(dir_a);
+  auto b = open_store_dir(dir_b);
   if (!a || !b) return 1;
   const auto diff = flowdb::diff_verdicts(*a, *b);
+  if (!diff) {
+    std::fprintf(stderr, "gq_trace: a segment of %s or %s failed "
+                         "validation\n",
+                 dir_a.c_str(), dir_b.c_str());
+    return 1;
+  }
   std::printf("%-10s %10s %8s %10s %8s %8s\n", "verdict", "a", "a%", "b",
               "b%", "delta");
-  for (const auto& entry : diff.entries) {
+  for (const auto& entry : diff->entries) {
     std::printf("%-10s %10llu %7.2f%% %10llu %7.2f%% %7.4f\n",
                 entry.label.c_str(),
                 static_cast<unsigned long long>(entry.count_a),
@@ -632,15 +575,15 @@ int cmd_diff(const std::string& path_a, const std::string& path_b,
                 entry.share_b * 100.0, entry.delta);
   }
   std::printf("rows a=%llu b=%llu  max delta %.4f  tolerance %.4f  -> %s\n",
-              static_cast<unsigned long long>(diff.rows_a),
-              static_cast<unsigned long long>(diff.rows_b), diff.max_delta,
-              tolerance, diff.within(tolerance) ? "PASS" : "FAIL");
-  return diff.within(tolerance) ? 0 : 1;
+              static_cast<unsigned long long>(diff->rows_a),
+              static_cast<unsigned long long>(diff->rows_b), diff->max_delta,
+              tolerance, diff->within(tolerance) ? "PASS" : "FAIL");
+  return diff->within(tolerance) ? 0 : 1;
 }
 
 // --- Synthetic stores (diffgate, selftest) --------------------------------
 
-/// Deterministic synthetic store: same seed → byte-identical file.
+/// Deterministic synthetic segment: same seed → byte-identical bytes.
 /// `drop_bias` skews the verdict mix (the "perturbed distribution" the
 /// gate must catch).
 flowdb::Writer synth_store(std::uint64_t seed, std::size_t rows,
@@ -681,6 +624,20 @@ flowdb::Writer synth_store(std::uint64_t seed, std::size_t rows,
   return writer;
 }
 
+/// Replace whatever is at `dir` with an empty store.
+std::optional<flowdb::SegmentedStore> fresh_store(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return flowdb::SegmentedStore::open(dir);
+}
+
+/// Replace whatever is at `dir` with a store holding `writer`'s rows as
+/// its one segment.
+bool one_segment_store(const std::string& dir, const flowdb::Writer& writer) {
+  auto store = fresh_store(dir);
+  return store && store->append_segment(writer);
+}
+
 /// The committed-golden-seed regression gate: two same-seed stores must
 /// diff clean; a deliberately perturbed verdict mix must trip the gate.
 /// Golden seeds match the trace replay regression (tests/trace_test.cc).
@@ -696,12 +653,12 @@ int cmd_diffgate(const std::string& workdir) {
     std::fprintf(stderr, "diffgate: cannot create %s\n", workdir.c_str());
     return 1;
   }
-  const std::string run1 = workdir + "/run1.fdb";
-  const std::string run2 = workdir + "/run2.fdb";
-  const std::string perturbed = workdir + "/perturbed.fdb";
-  if (!synth_store(kGoldenSeedA, kRows, 0.25).save(run1) ||
-      !synth_store(kGoldenSeedA, kRows, 0.25).save(run2) ||
-      !synth_store(kGoldenSeedB, kRows, 0.55).save(perturbed)) {
+  const std::string run1 = workdir + "/run1";
+  const std::string run2 = workdir + "/run2";
+  const std::string perturbed = workdir + "/perturbed";
+  if (!one_segment_store(run1, synth_store(kGoldenSeedA, kRows, 0.25)) ||
+      !one_segment_store(run2, synth_store(kGoldenSeedA, kRows, 0.25)) ||
+      !one_segment_store(perturbed, synth_store(kGoldenSeedB, kRows, 0.55))) {
     std::fprintf(stderr, "diffgate: store write failed\n");
     return 1;
   }
@@ -767,9 +724,7 @@ flowdb::Writer synth_segment(std::uint64_t seed, std::size_t index,
 
 bool build_prune_store(const std::string& dir, std::size_t segments,
                        std::size_t rows) {
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  auto store = flowdb::SegmentedStore::open(dir);
+  auto store = fresh_store(dir);
   if (!store) return false;
   for (std::size_t s = 0; s < segments; ++s) {
     if (!store->append_segment(synth_segment(0x5EC5, s, rows))) return false;
@@ -1047,36 +1002,47 @@ int cmd_selftest(const std::string& dir) {
     return 1;
   }
 
-  // Compact the archive into a FlowDB store and drive the query path.
-  const std::string store_path = dir + "/store.fdb";
-  if (cmd_compact(store_path, {dir}) != 0) return 1;
-  auto reader = flowdb::Reader::open(store_path);
+  // Compact the archive into a one-segment store and drive the query
+  // path.
+  const std::string store_dir = dir + "/store";
+  if (cmd_appendseg(store_dir, {dir}) != 0) return 1;
+  auto reader = flowdb::SegmentedReader::open(store_dir);
   if (!reader || reader->rows() != tap.index().flow_count()) {
     std::fprintf(stderr, "selftest: compacted store row count differs\n");
     return 1;
   }
   flowdb::Filter rewrite_filter;
   rewrite_filter.verdict = static_cast<std::uint8_t>(shim::Verdict::kRewrite);
-  const auto serial = flowdb::scan(*reader, rewrite_filter);
-  if (serial.size() != 1) {
-    std::fprintf(stderr, "selftest: rewrite query found %zu flows, want 1\n",
-                 serial.size());
+  const auto serial = reader->scan(rewrite_filter);
+  if (!serial || serial->size() != 1) {
+    std::fprintf(stderr, "selftest: rewrite query did not find 1 flow\n");
     return 1;
   }
   flowdb::ScanOptions four_threads;
   four_threads.threads = 4;
-  if (flowdb::scan(*reader, rewrite_filter, four_threads) != serial) {
+  if (reader->scan(rewrite_filter, four_threads) != serial) {
     std::fprintf(stderr, "selftest: parallel scan differs from serial\n");
     return 1;
   }
   flowdb::Filter tenant_filter;
   tenant_filter.tenant = "selftest-tenant";
-  if (flowdb::scan(*reader, tenant_filter).size() != reader->rows()) {
+  const auto tenant_rows = reader->scan(tenant_filter);
+  if (!tenant_rows || tenant_rows->size() != reader->rows()) {
     std::fprintf(stderr, "selftest: tenant query missed flows\n");
     return 1;
   }
-  if (!flowdb::diff_verdicts(*reader, *reader).within(0.0)) {
+  const auto self_diff = flowdb::diff_verdicts(*reader, *reader);
+  if (!self_diff || !self_diff->within(0.0)) {
     std::fprintf(stderr, "selftest: store does not diff clean vs itself\n");
+    return 1;
+  }
+
+  // A store is a directory: a plain segment file is refused, not read.
+  const std::string segment_file =
+      store_dir + "/" + reader->manifest().segments.front().file;
+  if (cmd_query(segment_file, {}) != 1 || cmd_stat(segment_file, {}) != 1 ||
+      cmd_diff(segment_file, segment_file, 0.0) != 1) {
+    std::fprintf(stderr, "selftest: a plain .fdb path was accepted\n");
     return 1;
   }
 
@@ -1095,7 +1061,7 @@ int cmd_selftest(const std::string& dir) {
   flowdb::ScanOptions seg_options;
   seg_options.stats = &seg_stats;
   const auto seg_matches = seg_store->scan(rewrite_filter, seg_options);
-  if (!seg_matches || seg_matches->size() != 2 * serial.size()) {
+  if (!seg_matches || seg_matches->size() != 2 * serial->size()) {
     std::fprintf(stderr, "selftest: segmented scan missed flows\n");
     return 1;
   }
@@ -1116,11 +1082,13 @@ int cmd_selftest(const std::string& dir) {
   if (cmd_extract(dir, 0, "") != 0) return 1;
   std::printf("\n");
   QueryArgs stat_args;
-  if (cmd_stat(store_path, stat_args) != 0) return 1;
+  if (cmd_query(store_dir, stat_args) != 0) return 1;
+  std::printf("\n");
+  if (cmd_stat(store_dir, stat_args) != 0) return 1;
   std::printf("\n");
   if (cmd_stat(seg_dir, stat_args) != 0) return 1;
   std::printf("\n");
-  if (cmd_diff(store_path, store_path, 0.0) != 0) return 1;
+  if (cmd_diff(store_dir, store_dir, 0.0) != 0) return 1;
   std::printf("\n");
   if (cmd_diffgate(dir + "/diffgate") != 0) return 1;
   std::printf("\nselftest OK (%s)\n", dir.c_str());
@@ -1132,14 +1100,13 @@ int usage() {
       stderr,
       "usage: gq_trace selftest [dir] | list <dir> | summary <dir>\n"
       "       gq_trace extract <dir> <flow#> [out.pcap]\n"
-      "       gq_trace compact <out.fdb> <dir>...\n"
       "       gq_trace query <store> [filters] [--threads N] [--limit N] "
       "[--no-prune]\n"
       "       gq_trace stat <store> [filters] [--by "
       "verdict|tenant|policy|tap]\n"
       "       gq_trace segments <dir> | appendseg <dir> <archive>...\n"
       "       gq_trace compactseg <dir> [max]\n"
-      "       gq_trace diff <a.fdb> <b.fdb> [--tolerance F]\n"
+      "       gq_trace diff <a> <b> [--tolerance F]\n"
       "       gq_trace diffgate <workdir> | prunegate <workdir>\n"
       "filters: --verdict V|none --source shim|cached|table --tenant T\n"
       "         --policy P --tap T --job N --vlan N --port N --addr A\n"
@@ -1164,10 +1131,6 @@ int main(int argc, char** argv) {
     }
     return cmd_extract(argv[2], static_cast<std::size_t>(*flow_no),
                        argc > 4 ? argv[4] : "");
-  }
-  if (cmd == "compact" && argc > 3) {
-    std::vector<std::string> dirs(argv + 3, argv + argc);
-    return cmd_compact(argv[2], dirs);
   }
   if (cmd == "query" && argc > 2) {
     QueryArgs args;

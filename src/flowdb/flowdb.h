@@ -1,7 +1,7 @@
 // FlowDB: a versioned, self-describing, columnar flow-record store
 // (DESIGN.md §14). Where a saved TraceTap keeps its flow index as a
 // `flows.txt` text sidecar that must be re-parsed linearly on every
-// question, a `.fdb` store lays the same records out as fixed-width
+// question, a `.fdb` segment lays the same records out as fixed-width
 // columns so an mmap-backed reader can answer predicates and
 // aggregations over hundreds of thousands of flows at memory bandwidth
 // — the paper's §5.6 trace audits ("which flow was that, and what did
@@ -42,8 +42,10 @@
 // parse contract as the wire codecs.
 //
 // Writers are append-then-seal: add rows (or whole TraceTap indexes),
-// then encode()/save(). Readers are immutable views; the query engine
-// lives in flowdb/query.h.
+// then encode(). A sealed file is only ever a segment of a store
+// directory (flowdb/store.h), which writes it crash-safely; a Reader is
+// the immutable, validated view of one segment, and the query engine
+// (flowdb/query.h) runs over the store.
 #pragma once
 
 #include <cstdint>
@@ -211,9 +213,8 @@ Row row_from(const trace::FlowRecord& record, std::string_view tap_name);
 
 /// Columnar writer: accumulate rows, then seal. When `metrics` is
 /// non-null the writer publishes
-///   flowdb.rows_written      counter  rows sealed into stores
-///   flowdb.files_written     counter  save() successes
-///   flowdb.bytes_written     counter  encoded store bytes
+///   flowdb.rows_written      counter  rows sealed into segments
+///   flowdb.bytes_written     counter  encoded segment bytes
 class Writer {
  public:
   explicit Writer(obs::MetricsRegistry* metrics = nullptr);
@@ -230,15 +231,13 @@ class Writer {
   /// Seal into the on-disk byte layout (header..footer).
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
-  /// Seal and write to `path`. False on I/O error.
-  bool save(const std::string& path) const;
-
  private:
   std::vector<Row> rows_;
   obs::MetricsRegistry* metrics_ = nullptr;
 };
 
-/// Zero-copy reader over a sealed store. Columns are handed out as
+/// Zero-copy reader over one sealed segment, and the validator every
+/// segment passes before a store scans it. Columns are handed out as
 /// typed spans directly over the underlying bytes (an mmap'd file via
 /// open(), or an owned buffer via parse()); nothing is deserialized
 /// row-by-row. A Reader is immutable and safe to scan from many
@@ -255,7 +254,7 @@ class Reader {
   /// magic/version, out-of-bounds offsets, or a footer hash mismatch.
   static std::optional<Reader> open(const std::string& path);
 
-  /// Validate an in-memory store (tests, fuzzing, network transfer).
+  /// Validate an in-memory segment (tests, fuzzing, network transfer).
   /// The reader takes ownership of the buffer.
   static std::optional<Reader> parse(std::vector<std::uint8_t> bytes);
 

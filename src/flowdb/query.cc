@@ -1,18 +1,12 @@
 #include "flowdb/query.h"
 
 #include <algorithm>
-#include <chrono>
-#include <map>
 #include <thread>
 
 #include "flowdb/scan_impl.h"
 #include "shim/shim.h"
 
 namespace gq::flowdb {
-
-using detail::CompiledFilter;
-using detail::RowPredicate;
-using detail::ScanTask;
 
 void ScanStats::add_to(obs::MetricsRegistry& metrics) const {
   metrics.counter("flowdb.scan.segments_considered").inc(segments_considered);
@@ -92,59 +86,6 @@ std::vector<std::vector<std::uint64_t>> run_tasks(
   return per_task;
 }
 
-}  // namespace detail
-
-std::vector<std::uint64_t> scan(const Reader& reader, const Filter& filter,
-                                const ScanOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t n = reader.rows();
-  ScanStats local;
-  ScanStats& stats = options.stats ? *options.stats : local;
-  stats = {};
-  stats.segments_considered = 1;
-
-  std::vector<std::uint64_t> matches;
-  const CompiledFilter cf = detail::compile(reader, filter);
-  if (options.prune && !zone_may_match(reader.zone(), filter)) {
-    stats.segments_pruned = 1;
-  } else if (!cf.impossible && n > 0) {
-    stats.segments_scanned = 1;
-    const RowPredicate pred(reader, cf);
-    const auto chunk_zones = reader.chunk_zones();
-    std::vector<ScanTask> tasks;
-    tasks.reserve(chunk_zones.size());
-    for (std::uint64_t c = 0; c < chunk_zones.size(); ++c) {
-      if (options.prune && !chunk_may_match(chunk_zones[c], filter)) {
-        ++stats.chunks_pruned;
-        continue;
-      }
-      const std::uint64_t begin = c * kScanChunk;
-      const std::uint64_t end = std::min(n, begin + kScanChunk);
-      tasks.push_back({0, 0, begin, end});
-      ++stats.chunks_scanned;
-      stats.rows_scanned += end - begin;
-    }
-    const auto per_task =
-        detail::run_tasks({&pred, 1}, tasks, options.threads);
-    for (const auto& chunk : per_task)
-      matches.insert(matches.end(), chunk.begin(), chunk.end());
-  }
-  stats.rows_matched = matches.size();
-  stats.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  if (options.metrics) {
-    options.metrics->counter("flowdb.scans").inc();
-    options.metrics->counter("flowdb.rows_scanned").inc(stats.rows_scanned);
-    options.metrics->counter("flowdb.rows_matched").inc(matches.size());
-    stats.add_to(*options.metrics);
-  }
-  return matches;
-}
-
-namespace {
-
 /// Running sums of one group slot.
 struct GroupSums {
   std::uint64_t flows = 0;
@@ -152,16 +93,8 @@ struct GroupSums {
   std::uint64_t bytes = 0;
 };
 
-/// Aggregate the rows `for_each_row` visits (each index < rows()).
-/// Rows are first summed into a flat array indexed by the raw group key
-/// — the verdict byte, or the dictionary id, with every out-of-range id
-/// sharing one extra slot that reads as the empty name like
-/// Reader::dict() — and each used slot's label is resolved once. Slots
-/// can share a label (unknown verdicts all read "?", a dictionary may
-/// name "" or a string twice), so they merge by label at the end.
 template <typename ForEachRow>
-std::vector<Agg> aggregate_rows(const Reader& reader, GroupBy group,
-                                ForEachRow&& for_each_row) {
+void AggBuckets::add_rows(const Reader& reader, ForEachRow&& for_each_row) {
   const auto packets = reader.packets();
   const auto bytes = reader.bytes();
   std::vector<GroupSums> sums;
@@ -174,21 +107,21 @@ std::vector<Agg> aggregate_rows(const Reader& reader, GroupBy group,
     });
   };
   const std::uint64_t dict_size = reader.dict_size();
-  if (group == GroupBy::kVerdict) {
+  if (group_ == GroupBy::kVerdict) {
     sums.resize(256);
     const auto verdicts = reader.verdict();
     tally([&](std::uint64_t i) { return verdicts[i]; });
   } else {
     sums.resize(dict_size + 1);
-    const auto ids = group == GroupBy::kTenant   ? reader.tenant()
-                     : group == GroupBy::kPolicy ? reader.policy()
-                                                 : reader.tap();
+    const auto ids = group_ == GroupBy::kTenant   ? reader.tenant()
+                     : group_ == GroupBy::kPolicy ? reader.policy()
+                                                  : reader.tap();
     tally([&](std::uint64_t i) {
       return std::min<std::uint64_t>(ids[i], dict_size);
     });
   }
   const auto label_of = [&](std::uint64_t slot) -> std::string {
-    if (group == GroupBy::kVerdict)
+    if (group_ == GroupBy::kVerdict)
       return slot == 0 ? "none"
                        : shim::verdict_name(static_cast<shim::Verdict>(slot));
     const std::string_view name =
@@ -196,74 +129,39 @@ std::vector<Agg> aggregate_rows(const Reader& reader, GroupBy group,
                          : std::string_view();
     return name.empty() ? "-" : std::string(name);
   };
-  std::map<std::string, Agg> buckets;  // map: label-sorted for free.
   for (std::uint64_t slot = 0; slot < sums.size(); ++slot) {
     const GroupSums& s = sums[slot];
     if (s.flows == 0) continue;
-    Agg& bucket = buckets[label_of(slot)];
+    Agg& bucket = buckets_[label_of(slot)];
     bucket.flows += s.flows;
     bucket.packets += s.packets;
     bucket.bytes += s.bytes;
   }
+}
+
+void AggBuckets::add(const Reader& reader,
+                     std::span<const std::uint64_t> rows) {
+  add_rows(reader, [&](auto&& add_row) {
+    for (const std::uint64_t i : rows)
+      if (i < reader.rows()) add_row(i);
+  });
+}
+
+void AggBuckets::add_all(const Reader& reader) {
+  add_rows(reader, [&](auto&& add_row) {
+    for (std::uint64_t i = 0; i < reader.rows(); ++i) add_row(i);
+  });
+}
+
+std::vector<Agg> AggBuckets::take() && {
   std::vector<Agg> out;
-  out.reserve(buckets.size());
-  for (auto& [label, bucket] : buckets) {
+  out.reserve(buckets_.size());
+  for (auto& [label, bucket] : buckets_) {
     bucket.label = label;
     out.push_back(std::move(bucket));
   }
   return out;
 }
 
-}  // namespace
-
-std::vector<Agg> aggregate(const Reader& reader,
-                           std::span<const std::uint64_t> rows,
-                           GroupBy group) {
-  return aggregate_rows(reader, group, [&](auto&& add) {
-    for (const std::uint64_t i : rows)
-      if (i < reader.rows()) add(i);
-  });
-}
-
-std::vector<Agg> aggregate_all(const Reader& reader, GroupBy group) {
-  return aggregate_rows(reader, group, [&](auto&& add) {
-    for (std::uint64_t i = 0; i < reader.rows(); ++i) add(i);
-  });
-}
-
-VerdictDiff diff_verdicts(const Reader& a, const Reader& b) {
-  const auto counts_of = [](const Reader& reader) {
-    std::map<std::string, std::uint64_t> counts;
-    for (const auto& agg : aggregate_all(reader, GroupBy::kVerdict))
-      counts[agg.label] = agg.flows;
-    return counts;
-  };
-  const auto counts_a = counts_of(a);
-  const auto counts_b = counts_of(b);
-  VerdictDiff diff;
-  diff.rows_a = a.rows();
-  diff.rows_b = b.rows();
-  std::map<std::string, VerdictDiff::Entry> merged;
-  for (const auto& [label, count] : counts_a) {
-    merged[label].label = label;
-    merged[label].count_a = count;
-  }
-  for (const auto& [label, count] : counts_b) {
-    merged[label].label = label;
-    merged[label].count_b = count;
-  }
-  for (auto& [label, entry] : merged) {
-    entry.share_a =
-        diff.rows_a ? static_cast<double>(entry.count_a) / diff.rows_a : 0.0;
-    entry.share_b =
-        diff.rows_b ? static_cast<double>(entry.count_b) / diff.rows_b : 0.0;
-    entry.delta = std::abs(entry.share_a - entry.share_b);
-    diff.max_delta = std::max(diff.max_delta, entry.delta);
-    diff.entries.push_back(entry);
-  }
-  // Two stores where one is empty and the other is not never pass.
-  if ((diff.rows_a == 0) != (diff.rows_b == 0)) diff.max_delta = 1.0;
-  return diff;
-}
-
+}  // namespace detail
 }  // namespace gq::flowdb

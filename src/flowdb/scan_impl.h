@@ -1,11 +1,13 @@
-// Internal scan machinery shared by the single-file scan (query.cc)
-// and the segmented-store planner (store.cc). Not part of the public
-// FlowDB API — include query.h instead.
+// Internal scan and aggregate machinery behind SegmentedReader
+// (store.cc). Not part of the public FlowDB API — include store.h
+// instead.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "flowdb/flowdb.h"
@@ -120,5 +122,34 @@ struct ScanTask {
 std::vector<std::vector<std::uint64_t>> run_tasks(
     std::span<const RowPredicate> preds, std::span<const ScanTask> tasks,
     unsigned thread_opt);
+
+/// Label-sorted aggregate buckets, filled one segment at a time. Each
+/// add sums rows into a flat array indexed by the raw group key — the
+/// verdict byte, or the dictionary id, with every out-of-range id
+/// sharing one extra slot that reads as the empty name like
+/// Reader::dict() — resolves each used slot's label once, and merges
+/// the slot straight into the label map. Slots can share a label
+/// (unknown verdicts all read "?", a dictionary may name "" or a string
+/// twice, and segments have their own dictionaries), so the map is
+/// keyed by label.
+class AggBuckets {
+ public:
+  explicit AggBuckets(GroupBy group) : group_(group) {}
+
+  /// Add the segment rows `rows` (local ids; ids >= rows() are skipped).
+  void add(const Reader& reader, std::span<const std::uint64_t> rows);
+  /// Add every row of the segment.
+  void add_all(const Reader& reader);
+
+  /// The buckets in label order.
+  [[nodiscard]] std::vector<Agg> take() &&;
+
+ private:
+  template <typename ForEachRow>
+  void add_rows(const Reader& reader, ForEachRow&& for_each_row);
+
+  GroupBy group_;
+  std::map<std::string, Agg> buckets_;
+};
 
 }  // namespace gq::flowdb::detail

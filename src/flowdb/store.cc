@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -457,7 +458,7 @@ std::optional<std::vector<std::uint64_t>> SegmentedReader::scan(
 
 std::optional<std::vector<Agg>> SegmentedReader::aggregate(
     std::span<const std::uint64_t> rows, GroupBy group) {
-  // Split global ids per segment, aggregate each, merge label buckets.
+  // Split global ids per segment, then fill one set of label buckets.
   std::vector<std::vector<std::uint64_t>> per_segment(
       manifest_.segments.size());
   const std::uint64_t total = this->rows();
@@ -469,49 +470,26 @@ std::optional<std::vector<Agg>> SegmentedReader::aggregate(
         static_cast<std::size_t>(it - bases_.begin()) - 1;
     per_segment[s].push_back(global - bases_[s]);
   }
-  std::map<std::string, Agg> buckets;
+  detail::AggBuckets buckets(group);
   for (std::size_t s = 0; s < per_segment.size(); ++s) {
     if (per_segment[s].empty()) continue;
     const Reader* reader = segment_reader(s);
     if (!reader) return std::nullopt;
-    for (const Agg& agg :
-         flowdb::aggregate(*reader, per_segment[s], group)) {
-      Agg& bucket = buckets[agg.label];
-      bucket.flows += agg.flows;
-      bucket.packets += agg.packets;
-      bucket.bytes += agg.bytes;
-    }
+    buckets.add(*reader, per_segment[s]);
   }
-  std::vector<Agg> out;
-  out.reserve(buckets.size());
-  for (auto& [label, bucket] : buckets) {
-    bucket.label = label;
-    out.push_back(std::move(bucket));
-  }
-  return out;
+  return std::move(buckets).take();
 }
 
 std::optional<std::vector<Agg>> SegmentedReader::aggregate_all(
     GroupBy group) {
-  std::map<std::string, Agg> buckets;
+  detail::AggBuckets buckets(group);
   for (std::size_t s = 0; s < manifest_.segments.size(); ++s) {
     if (manifest_.segments[s].rows == 0) continue;
     const Reader* reader = segment_reader(s);
     if (!reader) return std::nullopt;
-    for (const Agg& agg : flowdb::aggregate_all(*reader, group)) {
-      Agg& bucket = buckets[agg.label];
-      bucket.flows += agg.flows;
-      bucket.packets += agg.packets;
-      bucket.bytes += agg.bytes;
-    }
+    buckets.add_all(*reader);
   }
-  std::vector<Agg> out;
-  out.reserve(buckets.size());
-  for (auto& [label, bucket] : buckets) {
-    bucket.label = label;
-    out.push_back(std::move(bucket));
-  }
-  return out;
+  return std::move(buckets).take();
 }
 
 std::optional<Row> SegmentedReader::row(std::uint64_t global) {
@@ -521,6 +499,32 @@ std::optional<Row> SegmentedReader::row(std::uint64_t global) {
   const Reader* reader = segment_reader(s);
   if (!reader) return std::nullopt;
   return reader->row(global - bases_[s]);
+}
+
+std::optional<VerdictDiff> diff_verdicts(SegmentedReader& a,
+                                         SegmentedReader& b) {
+  const auto aggs_a = a.aggregate_all(GroupBy::kVerdict);
+  const auto aggs_b = b.aggregate_all(GroupBy::kVerdict);
+  if (!aggs_a || !aggs_b) return std::nullopt;
+  VerdictDiff diff;
+  diff.rows_a = a.rows();
+  diff.rows_b = b.rows();
+  std::map<std::string, VerdictDiff::Entry> merged;
+  for (const Agg& agg : *aggs_a) merged[agg.label].count_a = agg.flows;
+  for (const Agg& agg : *aggs_b) merged[agg.label].count_b = agg.flows;
+  for (auto& [label, entry] : merged) {
+    entry.label = label;
+    entry.share_a =
+        diff.rows_a ? static_cast<double>(entry.count_a) / diff.rows_a : 0.0;
+    entry.share_b =
+        diff.rows_b ? static_cast<double>(entry.count_b) / diff.rows_b : 0.0;
+    entry.delta = std::abs(entry.share_a - entry.share_b);
+    diff.max_delta = std::max(diff.max_delta, entry.delta);
+    diff.entries.push_back(entry);
+  }
+  // Two stores where one is empty and the other is not never pass.
+  if ((diff.rows_a == 0) != (diff.rows_b == 0)) diff.max_delta = 1.0;
+  return diff;
 }
 
 }  // namespace gq::flowdb

@@ -111,11 +111,12 @@ class SegmentedStore {
   obs::MetricsRegistry* metrics_ = nullptr;
 };
 
-/// Query side: plans Filters against per-segment zone maps (read from
-/// segment tails at open, without mapping column data), mmaps only
-/// surviving segments, and extends the chunk-parallel scan across them
-/// while preserving ascending global row order — bit-identical to the
-/// serial, pruning-off scan at any thread count.
+/// Query side, and FlowDB's one query entry point: plans Filters
+/// against per-segment zone maps (read from segment tails at open,
+/// without mapping column data), mmaps only surviving segments, and runs
+/// the chunk-parallel scan across them while preserving ascending global
+/// row order — bit-identical to the serial, pruning-off scan at any
+/// thread count. A single sealed file is queried as a one-segment store.
 ///
 /// Methods return nullopt on store corruption (a segment that fails
 /// validation, including detected zone lies); pruning never silently
@@ -161,5 +162,32 @@ class SegmentedReader {
   std::vector<std::uint64_t> bases_;
   std::vector<std::optional<Reader>> readers_;  ///< Lazy mmaps.
 };
+
+/// Verdict-distribution comparison between two stores — the cross-run
+/// regression gate behind `gq_trace diff`. Shares are fractions of each
+/// store's total row count; delta is |share_a - share_b|.
+struct VerdictDiff {
+  struct Entry {
+    std::string label;
+    std::uint64_t count_a = 0;
+    std::uint64_t count_b = 0;
+    double share_a = 0.0;
+    double share_b = 0.0;
+    double delta = 0.0;
+  };
+  std::vector<Entry> entries;  ///< Label-sorted union of both stores.
+  std::uint64_t rows_a = 0;
+  std::uint64_t rows_b = 0;
+  double max_delta = 0.0;
+
+  /// True when every verdict share moved by at most `tolerance`.
+  [[nodiscard]] bool within(double tolerance) const {
+    return max_delta <= tolerance;
+  }
+};
+
+/// nullopt when a segment of either store fails validation.
+std::optional<VerdictDiff> diff_verdicts(SegmentedReader& a,
+                                         SegmentedReader& b);
 
 }  // namespace gq::flowdb

@@ -3,13 +3,15 @@
 // round trips, predicate scans checked against brute force over
 // reconstructed rows, the serial-vs-parallel bit-identity contract at
 // 1/2/4 threads, aggregation kernels, and the verdict-distribution
-// diff gate. FlowDbReject covers the load-time rejection contract:
-// corrupt footers, truncation, self-declared-length lies and retired
-// format versions must all come back nullopt, never a crash or
-// over-read. FlowDbSeal pins the footer's seal hash (XXH64) and
-// FlowDbAggregate holds the grouped aggregate kernels to a per-row
+// diff gate, each run on a one-segment store (OneSegmentStore).
+// FlowDbReject covers the load-time rejection contract: corrupt
+// footers, truncation, self-declared-length lies and retired format
+// versions must all come back nullopt, never a crash or over-read.
+// FlowDbSeal pins the footer's seal hash (XXH64) and FlowDbAggregate
+// holds the grouped aggregate kernel (detail::AggBuckets) to a per-row
 // reference.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -26,11 +28,13 @@
 
 #include "flowdb/flowdb.h"
 #include "flowdb/query.h"
+#include "flowdb/scan_impl.h"
 #include "flowdb/store.h"
 #include "obs/metrics.h"
 #include "shim/shim.h"
 #include "trace/flow_index.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace gq {
 namespace flowdb {
@@ -83,6 +87,60 @@ std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+std::string temp_dir(const char* name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return dir.string();
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// `writer`'s rows as the one segment of a fresh store, opened for
+/// queries — how the scan, aggregate and diff tests query a segment.
+/// The directory is named after the running test and process (ctest
+/// runs tests as parallel processes) and removed with the object.
+class OneSegmentStore {
+ public:
+  explicit OneSegmentStore(const flowdb::Writer& writer,
+                           const char* tag = "store") {
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = temp_dir(util::format("flowdb_%s_%s_%d_%s", test->test_suite_name(),
+                                 test->name(), static_cast<int>(::getpid()),
+                                 tag)
+                        .c_str());
+    auto store = flowdb::SegmentedStore::open(dir_);
+    if (store && store->append_segment(writer))
+      reader_ = flowdb::SegmentedReader::open(dir_);
+  }
+  ~OneSegmentStore() {
+    reader_.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  OneSegmentStore(const OneSegmentStore&) = delete;
+  OneSegmentStore& operator=(const OneSegmentStore&) = delete;
+
+  explicit operator bool() const { return reader_.has_value(); }
+  flowdb::SegmentedReader& operator*() { return *reader_; }
+  flowdb::SegmentedReader* operator->() { return &*reader_; }
+
+ private:
+  std::string dir_;
+  std::optional<flowdb::SegmentedReader> reader_;
+};
+
 TEST(FlowDbSmoke, EncodeParseRoundTripPreservesEveryRow) {
   util::Rng rng(0xFDB0001);
   flowdb::Writer writer;
@@ -102,7 +160,7 @@ TEST(FlowDbSmoke, MmapOpenMatchesInMemoryParse) {
   const auto writer = sample_writer(256, 0xFDB0002);
   const auto bytes = writer.encode();
   const auto path = temp_path("flowdb_test_open.fdb");
-  ASSERT_TRUE(writer.save(path));
+  write_bytes(path, bytes);
   auto mapped = flowdb::Reader::open(path);
   auto parsed = flowdb::Reader::parse(bytes);
   ASSERT_TRUE(mapped);
@@ -121,8 +179,8 @@ TEST(FlowDbSmoke, EncodeIsDeterministic) {
 
 TEST(FlowDbSmoke, ScanPredicatesMatchBruteForce) {
   const auto writer = sample_writer(20'000, 0xFDB0004);
-  auto reader = flowdb::Reader::parse(writer.encode());
-  ASSERT_TRUE(reader);
+  OneSegmentStore store(writer);
+  ASSERT_TRUE(store);
 
   std::vector<flowdb::Filter> filters;
   flowdb::Filter f;
@@ -159,11 +217,11 @@ TEST(FlowDbSmoke, ScanPredicatesMatchBruteForce) {
 
   for (std::size_t fi = 0; fi < filters.size(); ++fi) {
     const auto& filter = filters[fi];
-    const auto matches = flowdb::scan(*reader, filter);
+    const auto matches = store->scan(filter).value();
     // Brute force over reconstructed rows.
     std::vector<std::uint64_t> expected;
-    for (std::uint64_t i = 0; i < reader->rows(); ++i) {
-      const auto row = reader->row(i);
+    for (std::uint64_t i = 0; i < store->rows(); ++i) {
+      const auto row = store->row(i).value();
       if (filter.verdict && row.verdict != *filter.verdict) continue;
       if (filter.source && (row.verdict == 0 || row.source != *filter.source))
         continue;
@@ -187,28 +245,34 @@ TEST(FlowDbSmoke, ScanPredicatesMatchBruteForce) {
 TEST(FlowDbSmoke, ParallelScanBitIdenticalAt124Threads) {
   // > kScanChunk rows so the parallel path actually splits chunks.
   const auto writer = sample_writer(50'000, 0xFDB0005);
-  auto reader = flowdb::Reader::parse(writer.encode());
-  ASSERT_TRUE(reader);
+  OneSegmentStore store(writer);
+  ASSERT_TRUE(store);
   flowdb::Filter filter;
   filter.port = 80;
-  const auto serial = flowdb::scan(*reader, filter);
+  const auto serial = store->scan(filter).value();
   EXPECT_FALSE(serial.empty());
   for (const unsigned threads : {2u, 4u}) {
     flowdb::ScanOptions options;
     options.threads = threads;
-    EXPECT_EQ(flowdb::scan(*reader, filter, options), serial)
+    EXPECT_EQ(store->scan(filter, options).value(), serial)
         << threads << " threads";
   }
 }
 
 TEST(FlowDbSmoke, AggregatesMatchBruteForce) {
   const auto writer = sample_writer(10'000, 0xFDB0006);
-  auto reader = flowdb::Reader::parse(writer.encode());
-  ASSERT_TRUE(reader);
+  OneSegmentStore store(writer);
+  ASSERT_TRUE(store);
+  std::uint64_t want_packets = 0, want_bytes = 0;
+  for (std::uint64_t i = 0; i < store->rows(); ++i) {
+    const auto row = store->row(i).value();
+    want_packets += row.packets;
+    want_bytes += row.bytes;
+  }
   for (const auto group :
        {flowdb::GroupBy::kVerdict, flowdb::GroupBy::kTenant,
         flowdb::GroupBy::kPolicy, flowdb::GroupBy::kTap}) {
-    const auto aggs = flowdb::aggregate_all(*reader, group);
+    const auto aggs = store->aggregate_all(group).value();
     std::uint64_t flows = 0, packets = 0, bytes = 0;
     for (const auto& agg : aggs) {
       flows += agg.flows;
@@ -216,10 +280,7 @@ TEST(FlowDbSmoke, AggregatesMatchBruteForce) {
       bytes += agg.bytes;
       EXPECT_FALSE(agg.label.empty());
     }
-    EXPECT_EQ(flows, reader->rows());
-    std::uint64_t want_packets = 0, want_bytes = 0;
-    for (const auto p : reader->packets()) want_packets += p;
-    for (const auto b : reader->bytes()) want_bytes += b;
+    EXPECT_EQ(flows, store->rows());
     EXPECT_EQ(packets, want_packets);
     EXPECT_EQ(bytes, want_bytes);
     // Label-sorted, no duplicates.
@@ -230,12 +291,12 @@ TEST(FlowDbSmoke, AggregatesMatchBruteForce) {
 
 TEST(FlowDbSmoke, DiffVerdictsGatesPerturbedDistributions) {
   const auto base = sample_writer(8'000, 0xFDB0007);
-  auto a = flowdb::Reader::parse(base.encode());
-  auto b = flowdb::Reader::parse(base.encode());
+  OneSegmentStore a(base, "a");
+  OneSegmentStore b(base, "b");
   ASSERT_TRUE(a);
   ASSERT_TRUE(b);
   // Same store: identical distribution, zero delta.
-  EXPECT_TRUE(flowdb::diff_verdicts(*a, *b).within(0.0));
+  EXPECT_TRUE(flowdb::diff_verdicts(*a, *b).value().within(0.0));
 
   // Perturb: force every verdict to kDrop.
   util::Rng rng(0xFDB0007);
@@ -246,9 +307,9 @@ TEST(FlowDbSmoke, DiffVerdictsGatesPerturbedDistributions) {
     row.source = static_cast<std::uint8_t>(shim::VerdictSource::kShim);
     perturbed.add(std::move(row));
   }
-  auto c = flowdb::Reader::parse(perturbed.encode());
+  OneSegmentStore c(perturbed, "c");
   ASSERT_TRUE(c);
-  const auto diff = flowdb::diff_verdicts(*a, *c);
+  const auto diff = flowdb::diff_verdicts(*a, *c).value();
   EXPECT_FALSE(diff.within(0.02));
   EXPECT_GT(diff.max_delta, 0.1);
 }
@@ -274,19 +335,19 @@ TEST(FlowDbSmoke, TenantJobCarryFromArchiveIntoStore) {
   }
   flowdb::Writer writer;
   writer.add_index(index, "job-tap");
-  auto reader = flowdb::Reader::parse(writer.encode());
-  ASSERT_TRUE(reader);
+  OneSegmentStore store(writer);
+  ASSERT_TRUE(store);
   flowdb::Filter by_tenant;
   by_tenant.tenant = "acme";
-  EXPECT_EQ(flowdb::scan(*reader, by_tenant).size(), 5u);
+  EXPECT_EQ(store->scan(by_tenant).value().size(), 5u);
   flowdb::Filter by_job;
   by_job.job = 43;
-  const auto match = flowdb::scan(*reader, by_job);
+  const auto match = store->scan(by_job).value();
   ASSERT_EQ(match.size(), 1u);
-  EXPECT_EQ(reader->row(match[0]).tenant, "acme");
+  EXPECT_EQ(store->row(match[0]).value().tenant, "acme");
   flowdb::Filter by_source;
   by_source.source = static_cast<std::uint8_t>(shim::VerdictSource::kTable);
-  EXPECT_EQ(flowdb::scan(*reader, by_source).size(), 4u);
+  EXPECT_EQ(store->scan(by_source).value().size(), 4u);
 }
 
 TEST(FlowDbSmoke, WriterPublishesMetrics) {
@@ -299,9 +360,9 @@ TEST(FlowDbSmoke, WriterPublishesMetrics) {
   EXPECT_EQ(metrics.counter("flowdb.bytes_written").value(), bytes.size());
   flowdb::ScanOptions options;
   options.metrics = &metrics;
-  auto reader = flowdb::Reader::parse(bytes);
-  ASSERT_TRUE(reader);
-  flowdb::scan(*reader, {}, options);
+  OneSegmentStore store(writer);
+  ASSERT_TRUE(store);
+  ASSERT_TRUE(store->scan({}, options));
   EXPECT_EQ(metrics.counter("flowdb.scans").value(), 1u);
   EXPECT_EQ(metrics.counter("flowdb.rows_scanned").value(), 32u);
   EXPECT_EQ(metrics.counter("flowdb.rows_matched").value(), 32u);
@@ -474,16 +535,20 @@ TEST(FlowDbSmoke, EmptyStoreRoundTrips) {
   auto reader = flowdb::Reader::parse(writer.encode());
   ASSERT_TRUE(reader);
   EXPECT_EQ(reader->rows(), 0u);
-  EXPECT_TRUE(flowdb::scan(*reader, {}).empty());
-  EXPECT_TRUE(flowdb::aggregate_all(*reader, flowdb::GroupBy::kVerdict)
-                  .empty());
+  // Zero rows append no segment: the store is empty, and queries on it
+  // answer empty.
+  OneSegmentStore store(writer);
+  ASSERT_TRUE(store);
+  EXPECT_EQ(store->rows(), 0u);
+  EXPECT_TRUE(store->scan({}).value().empty());
+  EXPECT_TRUE(store->aggregate_all(flowdb::GroupBy::kVerdict).value().empty());
 }
 
 // --- Aggregate kernels vs. a per-row reference ----------------------------
 
 /// The per-row aggregate the grouped kernels replaced: one label string
-/// and one std::map probe per row. Kept here as the reference that
-/// aggregate() and aggregate_all() must equal exactly.
+/// and one std::map probe per row. Kept here as the reference that the
+/// detail::AggBuckets kernel must equal exactly.
 std::vector<flowdb::Agg> reference_aggregate(
     const flowdb::Reader& reader, std::span<const std::uint64_t> rows,
     flowdb::GroupBy group) {
@@ -533,16 +598,18 @@ void expect_aggregates_match_reference(const flowdb::Reader& reader,
   for (const auto group :
        {flowdb::GroupBy::kVerdict, flowdb::GroupBy::kTenant,
         flowdb::GroupBy::kPolicy, flowdb::GroupBy::kTap}) {
-    EXPECT_EQ(flowdb::aggregate(reader, rows, group),
-              reference_aggregate(reader, rows, group))
+    flowdb::detail::AggBuckets some(group);
+    some.add(reader, rows);
+    EXPECT_EQ(std::move(some).take(), reference_aggregate(reader, rows, group))
         << "store " << store << " group " << static_cast<int>(group);
-    EXPECT_EQ(flowdb::aggregate_all(reader, group),
-              reference_aggregate(reader, all, group))
+    flowdb::detail::AggBuckets every(group);
+    every.add_all(reader);
+    EXPECT_EQ(std::move(every).take(), reference_aggregate(reader, all, group))
         << "store " << store << " group " << static_cast<int>(group);
   }
 }
 
-/// Row ids for aggregate(): in-range ids with duplicates, plus ids just
+/// Row ids for AggBuckets::add: in-range ids with duplicates, plus ids just
 /// past the end and near the top of the id space.
 std::vector<std::uint64_t> random_row_ids(util::Rng& rng, std::uint64_t n) {
   std::vector<std::uint64_t> rows;
@@ -705,19 +772,19 @@ std::vector<flowdb::Filter> canned_filters() {
 }
 
 TEST(FlowDbPrune, PruneOnAndOffAreByteIdentical) {
-  // Single-file store: chunk-granularity pruning only.
+  // One-segment store: segment- and chunk-granularity pruning.
   const auto writer = sample_writer(50'000, 0xFDB0201);
-  auto reader = flowdb::Reader::parse(writer.encode());
-  ASSERT_TRUE(reader);
+  OneSegmentStore store(writer);
+  ASSERT_TRUE(store);
   const auto filters = canned_filters();
   for (std::size_t fi = 0; fi < filters.size(); ++fi) {
     flowdb::ScanOptions off;
     off.prune = false;
-    const auto full = flowdb::scan(*reader, filters[fi], off);
+    const auto full = store->scan(filters[fi], off).value();
     for (const unsigned threads : {1u, 2u, 4u}) {
       flowdb::ScanOptions on;
       on.threads = threads;
-      EXPECT_EQ(flowdb::scan(*reader, filters[fi], on), full)
+      EXPECT_EQ(store->scan(filters[fi], on).value(), full)
           << "filter " << fi << " at " << threads << " threads";
     }
   }
@@ -725,8 +792,8 @@ TEST(FlowDbPrune, PruneOnAndOffAreByteIdentical) {
 
 TEST(FlowDbPrune, ScanStatsAndCountersTrackPruning) {
   const auto writer = sample_writer(40'000, 0xFDB0202);
-  auto reader = flowdb::Reader::parse(writer.encode());
-  ASSERT_TRUE(reader);
+  OneSegmentStore store(writer);
+  ASSERT_TRUE(store);
   flowdb::Filter unsatisfiable;
   unsatisfiable.since_usec = 1'000'000'000;  // Newer than every row.
   obs::MetricsRegistry metrics;
@@ -734,7 +801,7 @@ TEST(FlowDbPrune, ScanStatsAndCountersTrackPruning) {
   flowdb::ScanOptions options;
   options.stats = &stats;
   options.metrics = &metrics;
-  EXPECT_TRUE(flowdb::scan(*reader, unsatisfiable, options).empty());
+  EXPECT_TRUE(store->scan(unsatisfiable, options).value().empty());
   EXPECT_EQ(stats.segments_considered, 1u);
   EXPECT_EQ(stats.segments_pruned, 1u);  // Zone map kills the whole file.
   EXPECT_EQ(stats.rows_scanned, 0u);
@@ -746,7 +813,7 @@ TEST(FlowDbPrune, ScanStatsAndCountersTrackPruning) {
   window.since_usec = 1'000'000;
   window.until_usec = 2'000'000;
   stats = {};
-  const auto matches = flowdb::scan(*reader, window, options);
+  const auto matches = store->scan(window, options).value();
   EXPECT_FALSE(matches.empty());
   EXPECT_EQ(stats.segments_scanned, 1u);
   EXPECT_GT(stats.chunks_pruned, 0u);
@@ -778,8 +845,8 @@ TEST(FlowDbPrune, ZoneNeverPrunesAMatchingRow) {
       rows.push_back(row);
       writer.add(std::move(row));
     }
-    auto reader = flowdb::Reader::parse(writer.encode());
-    ASSERT_TRUE(reader);
+    OneSegmentStore store(writer);
+    ASSERT_TRUE(store);
 
     for (int qi = 0; qi < 24; ++qi) {
       flowdb::Filter filter;
@@ -825,14 +892,14 @@ TEST(FlowDbPrune, ZoneNeverPrunesAMatchingRow) {
       bool any = false;
       for (const auto& row : rows) any = any || matches_row(row);
       if (any) {
-        EXPECT_TRUE(flowdb::zone_may_match(reader->zone(), filter))
+        EXPECT_TRUE(flowdb::zone_may_match(store->segment_zone(0), filter))
             << "round " << round << " query " << qi
             << ": zone pruned a segment holding a matching row";
       }
       // End to end: pruning must not change the result, matching or not.
       flowdb::ScanOptions off;
       off.prune = false;
-      EXPECT_EQ(flowdb::scan(*reader, filter), flowdb::scan(*reader, filter, off))
+      EXPECT_EQ(store->scan(filter).value(), store->scan(filter, off).value())
           << "round " << round << " query " << qi;
     }
   }
@@ -840,27 +907,20 @@ TEST(FlowDbPrune, ZoneNeverPrunesAMatchingRow) {
 
 // --- Segmented store ------------------------------------------------------
 
-std::string temp_dir(const char* name) {
-  const auto dir = std::filesystem::temp_directory_path() / name;
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return dir.string();
-}
-
-TEST(FlowDbStore, SegmentedRoundTripMatchesMonolith) {
+TEST(FlowDbStore, ThreeSegmentsMatchOneSegment) {
   const auto dir = temp_dir("flowdb_store_roundtrip");
   auto store = flowdb::SegmentedStore::open(dir);
   ASSERT_TRUE(store);
-  // Same rows, split across three appends vs one monolithic writer.
+  // Same rows, split across three appends vs one single-segment writer.
   util::Rng rng(0xFDB0301);
-  flowdb::Writer monolith;
+  flowdb::Writer whole;
   std::vector<flowdb::Row> rows;
   for (std::size_t seg = 0; seg < 3; ++seg) {
     flowdb::Writer part;
     for (std::size_t i = 0; i < 500; ++i) {
       auto row = sample_row(seg * 500 + i, rng);
       rows.push_back(row);
-      monolith.add(row);
+      whole.add(row);
       part.add(std::move(row));
     }
     ASSERT_TRUE(store->append_segment(part));
@@ -870,8 +930,8 @@ TEST(FlowDbStore, SegmentedRoundTripMatchesMonolith) {
   auto seg_reader = flowdb::SegmentedReader::open(dir);
   ASSERT_TRUE(seg_reader);
   ASSERT_EQ(seg_reader->rows(), rows.size());
-  auto mono_reader = flowdb::Reader::parse(monolith.encode());
-  ASSERT_TRUE(mono_reader);
+  OneSegmentStore one(whole);
+  ASSERT_TRUE(one);
 
   // Row reconstruction across segment boundaries.
   for (const std::uint64_t i : {0ull, 499ull, 500ull, 1250ull, 1499ull}) {
@@ -881,36 +941,36 @@ TEST(FlowDbStore, SegmentedRoundTripMatchesMonolith) {
   }
   EXPECT_FALSE(seg_reader->row(rows.size()));
 
-  // Scans agree with the monolithic store on global ids, with pruning
+  // Scans agree with the one-segment store on global ids, with pruning
   // on and off and across thread counts.
   for (const auto& filter : canned_filters()) {
-    const auto mono = flowdb::scan(*mono_reader, filter);
+    const auto want = one->scan(filter).value();
     flowdb::ScanOptions off;
     off.prune = false;
     const auto full = seg_reader->scan(filter, off);
     ASSERT_TRUE(full);
-    EXPECT_EQ(*full, mono);
+    EXPECT_EQ(*full, want);
     for (const unsigned threads : {1u, 2u, 4u}) {
       flowdb::ScanOptions on;
       on.threads = threads;
       const auto pruned = seg_reader->scan(filter, on);
       ASSERT_TRUE(pruned);
-      EXPECT_EQ(*pruned, mono);
+      EXPECT_EQ(*pruned, want);
     }
   }
 
-  // Aggregation merges across segments like the monolith.
+  // Aggregation merges across segments like the one-segment store.
   for (const auto group : {flowdb::GroupBy::kVerdict, flowdb::GroupBy::kTenant,
                            flowdb::GroupBy::kPolicy, flowdb::GroupBy::kTap}) {
     const auto seg_aggs = seg_reader->aggregate_all(group);
     ASSERT_TRUE(seg_aggs);
-    const auto mono_aggs = flowdb::aggregate_all(*mono_reader, group);
-    ASSERT_EQ(seg_aggs->size(), mono_aggs.size());
-    for (std::size_t i = 0; i < mono_aggs.size(); ++i) {
-      EXPECT_EQ((*seg_aggs)[i].label, mono_aggs[i].label);
-      EXPECT_EQ((*seg_aggs)[i].flows, mono_aggs[i].flows);
-      EXPECT_EQ((*seg_aggs)[i].packets, mono_aggs[i].packets);
-      EXPECT_EQ((*seg_aggs)[i].bytes, mono_aggs[i].bytes);
+    const auto want_aggs = one->aggregate_all(group).value();
+    ASSERT_EQ(seg_aggs->size(), want_aggs.size());
+    for (std::size_t i = 0; i < want_aggs.size(); ++i) {
+      EXPECT_EQ((*seg_aggs)[i].label, want_aggs[i].label);
+      EXPECT_EQ((*seg_aggs)[i].flows, want_aggs[i].flows);
+      EXPECT_EQ((*seg_aggs)[i].packets, want_aggs[i].packets);
+      EXPECT_EQ((*seg_aggs)[i].bytes, want_aggs[i].bytes);
     }
   }
   std::filesystem::remove_all(dir);
@@ -1027,19 +1087,6 @@ TEST(FlowDbStore, CompactionIsDeterministicAndPreservesGlobalIds) {
   }
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);
-}
-
-std::vector<std::uint8_t> read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void write_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(FlowDbStore, TamperedSegmentsNeverScanWrong) {
