@@ -3,8 +3,9 @@
 // checksums, whole-frame decode/re-encode (the gateway's NAT/rewrite
 // path), shim encode/parse, flow-table keying, policy decisions,
 // trigger matching, MD5 hashing, switch forwarding, the telemetry
-// primitives (counter bump, histogram observe, event-bus publish), and
-// FlowDB's per-open costs (the footer seal hash, a full segment parse).
+// primitives (counter bump, histogram observe, event-bus publish),
+// FlowDB's per-open costs (the footer seal hash, a full segment parse),
+// and one trace-tap capture at growing flow counts.
 // After the benchmarks it runs a miniature farm and prints the built-in
 // flow-decision latency histogram plus a JSON dump of every metric.
 #include <benchmark/benchmark.h>
@@ -22,10 +23,12 @@
 #include "netsim/vlan_switch.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "packet/checksum.h"
 #include "packet/frame.h"
 #include "packet/frame_view.h"
 #include "shim/shim.h"
+#include "trace/tap.h"
 #include "util/glob.h"
 #include "util/md5.h"
 #include "util/rng.h"
@@ -396,6 +399,43 @@ void BM_FlowDbOpen32k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowDbOpen32k)->Unit(benchmark::kMillisecond);
+
+// One capture at a trace tap with `range(0)` flows already indexed:
+// the per-frame cost of flow indexing plus the archive append, as every
+// subfarm router, upstream and management leg pays it (default 8 ×
+// 256 KiB archive, rotating throughout).
+void BM_TraceTapRecord(benchmark::State& state) {
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<std::uint8_t>> frames;
+  frames.reserve(flows);
+  for (std::size_t i = 0; i < flows; ++i) {
+    pkt::DecodedFrame frame;
+    frame.eth.vlan = 16;
+    frame.eth.ethertype = pkt::kEtherTypeIpv4;
+    frame.ip = pkt::Ipv4Packet{};
+    frame.ip->src = Ipv4Addr(10, 0, static_cast<std::uint8_t>(i >> 8),
+                             static_cast<std::uint8_t>(i));
+    frame.ip->dst = Ipv4Addr(192, 150, 187, 12);
+    frame.tcp = pkt::TcpSegment{};
+    frame.tcp->src_port = static_cast<std::uint16_t>(1024 + i % 50000);
+    frame.tcp->dst_port = 80;
+    frame.tcp->flags = pkt::kTcpAck | pkt::kTcpPsh;
+    frame.tcp->payload.assign(64, 0x41);
+    frames.push_back(frame.encode());
+  }
+  obs::Telemetry telemetry;
+  trace::TraceTap tap("bench", {}, &telemetry);
+  std::int64_t usec = 0;
+  for (const auto& frame : frames) tap.record(util::TimePoint{usec++}, frame);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    tap.record(util::TimePoint{usec++}, frames[next]);
+    benchmark::ClobberMemory();
+    if (++next == frames.size()) next = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TraceTapRecord)->Arg(500)->Arg(5000)->Arg(20000);
 
 // A miniature farm serving a burst of contained flows, to demonstrate
 // the gateway's built-in instrumentation: the inmate-SYN-to-verdict-

@@ -309,6 +309,7 @@ struct ShardStats {
   std::uint64_t cross_shard_messages = 0;
   std::uint64_t epochs = 0;
   std::uint64_t escapes = 0;
+  std::uint64_t overflow_dropped = 0;  // shard.overflow_dropped.
   std::uint64_t stream_hash = 0;  // FNV-1a over merged event lines.
   double wall_ms = 0;
 };
@@ -385,6 +386,8 @@ ShardStats run_sharded(unsigned threads, std::size_t shards,
   const sim::LockstepStats ls = farm.lockstep_stats();
   stats.cross_shard_messages = ls.messages;
   stats.epochs = ls.epochs;
+  stats.overflow_dropped =
+      farm.metrics().find_counter("shard.overflow_dropped")->value();
   for (std::uint64_t n : escapes_per_shard) stats.escapes += n;
   std::uint64_t hash = 1469598103934665603ull;
   for (const std::string& line : farm.merged_event_lines()) {
@@ -638,9 +641,10 @@ int main(int argc, char** argv) {
       "cross-shard latency), same seed at 1/2/4 worker threads.\n"
       "Hardware threads available: %u\n",
       hw_threads);
-  std::printf("%9s %10s %12s %12s %10s %10s %10s\n", "THREADS", "EVENTS",
-              "CC REQS", "X-SHARD MSG", "ESCAPES", "WALL(ms)", "SPEEDUP");
-  std::printf("%s\n", std::string(80, '-').c_str());
+  std::printf("%9s %10s %12s %12s %10s %10s %10s %10s\n", "THREADS",
+              "EVENTS", "CC REQS", "X-SHARD MSG", "ESCAPES", "DROPPED",
+              "WALL(ms)", "SPEEDUP");
+  std::printf("%s\n", std::string(91, '-').c_str());
   const std::size_t f_shards = 4;
   const int f_inmates = smoke ? 2 : 6;
   double serial_wall = 0;
@@ -648,6 +652,7 @@ int main(int argc, char** argv) {
   std::uint64_t serial_events = 0;
   bool f_streams_identical = true;
   std::uint64_t f_escapes = 0;
+  std::uint64_t f_overflow_dropped = 0;
   std::uint64_t f_cross_messages = 0;
   std::uint64_t f_cc_requests = 0;
   double f_speedup4 = 0;
@@ -670,17 +675,19 @@ int main(int argc, char** argv) {
       f_epochs4 = stats.epochs;
     }
     f_escapes += stats.escapes;
+    f_overflow_dropped += stats.overflow_dropped;
     f_cross_messages = stats.cross_shard_messages;
     f_cc_requests = stats.cc_requests;
     // A wall-clock ratio on a host without the cores to run the workers
     // is time-slicing noise, not a speedup; report the coordination
     // overhead (wall minus serial) there instead of a misleading 0.2x.
     const bool speedup_meaningful = threads == 1 || hw_threads >= 4;
-    std::printf("%9u %10llu %12llu %12llu %10llu %10.0f ", threads,
+    std::printf("%9u %10llu %12llu %12llu %10llu %10llu %10.0f ", threads,
                 static_cast<unsigned long long>(stats.events),
                 static_cast<unsigned long long>(stats.cc_requests),
                 static_cast<unsigned long long>(stats.cross_shard_messages),
                 static_cast<unsigned long long>(stats.escapes),
+                static_cast<unsigned long long>(stats.overflow_dropped),
                 stats.wall_ms);
     if (speedup_meaningful) {
       std::printf("%9.2fx\n",
@@ -710,6 +717,8 @@ int main(int argc, char** argv) {
     json.value(stats.epochs);
     json.key("escapes");
     json.value(stats.escapes);
+    json.key("overflow_dropped");
+    json.value(stats.overflow_dropped);
     json.key("stream_hash");
     json.value(util::format("%016llx",
                             static_cast<unsigned long long>(
@@ -787,6 +796,15 @@ int main(int argc, char** argv) {
   if (!f_streams_identical) {
     std::fprintf(stderr,
                  "s1: sharded event streams diverged across thread counts\n");
+    return 1;
+  }
+  // Silent loss is a failure too: a frame dropped on a full lockstep
+  // mailbox never reaches its shard.
+  if (f_overflow_dropped != 0) {
+    std::fprintf(stderr,
+                 "s1: %llu cross-shard frames dropped on full lockstep "
+                 "mailboxes in sharded runs\n",
+                 static_cast<unsigned long long>(f_overflow_dropped));
     return 1;
   }
   if (f_cross_messages == 0 || f_cc_requests == 0) {

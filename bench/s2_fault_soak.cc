@@ -281,12 +281,10 @@ RowStats run_row(const Profile& profile, util::Duration duration,
   // names prefixed with the fault profile so `gq_trace stat --by tap`
   // can split the sweep per row.
   const std::string prefix = std::string(profile.name) + "/";
-  flow_store.add_index(farm.gateway().upstream_trace().index(),
-                       prefix + farm.gateway().upstream_trace().name());
-  flow_store.add_index(farm.gateway().inmate_rx_trace().index(),
-                       prefix + farm.gateway().inmate_rx_trace().name());
-  flow_store.add_index(sub.router().trace().index(),
-                       prefix + sub.router().trace().name());
+  for (const trace::TraceTap* tap :
+       {&farm.gateway().upstream_trace(), &farm.gateway().inmate_rx_trace(),
+        &sub.router().trace()})
+    flow_store.add_tap(*tap, prefix + tap->name());
   // Cross-check eviction accounting against the registry metric.
   if (counter("trace.Soak.evicted") !=
       sub.router().trace().archive().evicted_segments())

@@ -54,10 +54,10 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::vector<trace::FlowRecord> synth_flows() {
+std::vector<trace::FlowLine> synth_flows() {
   util::Rng rng(kSeed);
   const char* tenants[] = {"acme", "umbrella", "tyrell", "initech"};
-  std::vector<trace::FlowRecord> flows;
+  std::vector<trace::FlowLine> flows;
   flows.reserve(kFlows);
   for (std::size_t i = 0; i < kFlows; ++i) {
     trace::FlowRecord record;
@@ -84,8 +84,8 @@ std::vector<trace::FlowRecord> synth_flows() {
     record.first_time.usec = static_cast<std::int64_t>(i) * 100;
     record.last_time.usec =
         record.first_time.usec + static_cast<std::int64_t>(rng.below(50000));
-    record.locations.push_back({rng.below(16), rng.below(1u << 20)});
-    flows.push_back(std::move(record));
+    flows.push_back(
+        {std::move(record), {{rng.below(16), rng.below(1u << 20)}}});
   }
   return flows;
 }
@@ -94,7 +94,7 @@ std::vector<trace::FlowRecord> synth_flows() {
 /// flows.txt text sidecar. (No pcap segments — giving the baseline the
 /// cheapest possible reload makes the gate conservative.)
 bool write_baseline_archive(const std::string& dir,
-                            const std::vector<trace::FlowRecord>& flows) {
+                            const std::vector<trace::FlowLine>& flows) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return false;
@@ -105,7 +105,8 @@ bool write_baseline_archive(const std::string& dir,
     if (!manifest) return false;
   }
   std::ofstream out(dir + "/flows.txt", std::ios::binary | std::ios::trunc);
-  for (const auto& flow : flows) out << trace::flow_record_line(flow) << '\n';
+  for (const auto& flow : flows)
+    out << trace::flow_record_line(flow.record, flow.locations) << '\n';
   return static_cast<bool>(out);
 }
 
@@ -436,7 +437,8 @@ int main(int argc, char** argv) {
 
   // Compact. Determinism gate: same rows -> same bytes.
   flowdb::Writer writer;
-  for (const auto& flow : flows) writer.add(flowdb::row_from(flow, "bench"));
+  for (const auto& flow : flows)
+    writer.add(flowdb::row_from(flow.record, "bench", flow.locations));
   const auto compact_start = std::chrono::steady_clock::now();
   const auto encoded = writer.encode();
   const double compact_ms = ms_since(compact_start);

@@ -6,8 +6,10 @@
 //   gq_trace list <dir>              segment table of a saved archive
 //   gq_trace summary <dir>           per-flow index summary
 //   gq_trace extract <dir> <flow#> [out.pcap]
-//                                    extract one flow's packets (O(flow),
-//                                    via the index locations — no rescan)
+//                                    extract one flow's retained packets
+//                                    (by the archive's per-record flow
+//                                    ids — no frame re-parse); packets
+//                                    rotated out are gone
 //   gq_trace query <store> [filters] [--threads N] [--limit N]
 //                                    predicate scan over a store dir.
 //                                    Prints pruning statistics;

@@ -67,6 +67,12 @@ ShardedFarm::ShardedFarm(ShardedFarmOptions options,
 
 ShardedFarm::~ShardedFarm() = default;
 
+void ShardedFarm::run_for(util::Duration d) {
+  coordinator_->run_for(d);
+  const std::uint64_t dropped = coordinator_->stats().overflow_dropped;
+  overflow_dropped_.inc(dropped - overflow_dropped_.value());
+}
+
 std::vector<std::string> ShardedFarm::merged_event_lines() const {
   struct Tagged {
     std::int64_t usec;

@@ -34,6 +34,7 @@
 
 #include "core/farm.h"
 #include "netsim/lockstep.h"
+#include "obs/metrics.h"
 
 namespace gq::core {
 
@@ -79,7 +80,15 @@ class ShardedFarm {
   }
 
   /// Advance all shards together in lockstep epochs.
-  void run_for(util::Duration d) { coordinator_->run_for(d); }
+  void run_for(util::Duration d);
+
+  /// Instruments of the sharded run itself (each shard's Farm keeps its
+  /// own registry), current as of the last run_for():
+  ///   shard.overflow_dropped  counter  cross-shard frames lost to full
+  ///                                    lockstep mailboxes, all links
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const {
+    return metrics_;
+  }
 
   /// The canonical observable stream: every FarmEvent from every shard,
   /// rendered with obs::format_event, merged in (time, shard,
@@ -104,6 +113,9 @@ class ShardedFarm {
   };
 
   ShardedFarmOptions options_;
+  obs::MetricsRegistry metrics_;
+  obs::Counter& overflow_dropped_ =
+      metrics_.counter("shard.overflow_dropped");
   // Declaration order is teardown order in reverse and it matters:
   // coordinator_ dies first (joins workers, detaches bridge closures
   // from ports), farms_ next (their loops drop pending closures), and

@@ -265,7 +265,8 @@ std::uint64_t seal_hash(std::span<const std::uint8_t> bytes) {
   return h;
 }
 
-Row row_from(const trace::FlowRecord& record, std::string_view tap_name) {
+Row row_from(const trace::FlowRecord& record, std::string_view tap_name,
+             std::span<const trace::Location> locations) {
   Row row;
   row.proto = record.key.proto;
   row.src = record.key.src;
@@ -283,7 +284,7 @@ Row row_from(const trace::FlowRecord& record, std::string_view tap_name) {
   row.bytes = record.bytes;
   row.first_usec = record.first_time.usec;
   row.last_usec = record.last_time.usec;
-  row.locations = record.locations;
+  row.locations.assign(locations.begin(), locations.end());
   return row;
 }
 
@@ -291,13 +292,12 @@ Writer::Writer(obs::MetricsRegistry* metrics) : metrics_(metrics) {}
 
 void Writer::add(Row row) { rows_.push_back(std::move(row)); }
 
-void Writer::add_index(const trace::FlowIndex& index,
-                       std::string_view tap_name) {
-  for (const auto& record : index.flows()) add(row_from(record, tap_name));
-}
-
-void Writer::add_tap(const trace::TraceTap& tap) {
-  add_index(tap.index(), tap.name());
+void Writer::add_tap(const trace::TraceTap& tap, std::string_view name) {
+  if (name.empty()) name = tap.name();
+  const auto& flows = tap.index().flows();
+  const auto locations = tap.archive().locations_by_flow(flows.size());
+  for (std::uint32_t id = 0; id < flows.size(); ++id)
+    add(row_from(flows[id], name, locations.of(id)));
 }
 
 std::vector<std::uint8_t> Writer::encode() const {

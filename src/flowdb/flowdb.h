@@ -208,8 +208,10 @@ struct Row {
 };
 
 /// Convert one indexed flow record (its tenant/job fields carried from
-/// the archive, see trace/flow_index.h) into a store row.
-Row row_from(const trace::FlowRecord& record, std::string_view tap_name);
+/// the archive, see trace/flow_index.h) and its retained archive
+/// locations into a store row.
+Row row_from(const trace::FlowRecord& record, std::string_view tap_name,
+             std::span<const trace::Location> locations);
 
 /// Columnar writer: accumulate rows, then seal. When `metrics` is
 /// non-null the writer publishes
@@ -220,11 +222,10 @@ class Writer {
   explicit Writer(obs::MetricsRegistry* metrics = nullptr);
 
   void add(Row row);
-  /// Append every indexed flow of `index` under capture point
-  /// `tap_name`.
-  void add_index(const trace::FlowIndex& index, std::string_view tap_name);
-  /// Append a whole tap's index under the tap's own name.
-  void add_tap(const trace::TraceTap& tap);
+  /// Append every indexed flow of `tap`, with the locations of its
+  /// retained packets, under capture point `name` (empty: the tap's own
+  /// name). The one way rows leave a tap.
+  void add_tap(const trace::TraceTap& tap, std::string_view name = {});
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 

@@ -72,13 +72,14 @@ void HostStack::deconfigure() {
   auto conns = connections_;
   for (auto& [key, conn] : conns) conn->abort();
   connections_.clear();
+  port_use_.clear();
 }
 
 std::shared_ptr<TcpConnection> HostStack::connect(util::Endpoint dst) {
   const std::uint16_t port = allocate_port();
   auto conn = std::make_shared<TcpConnection>(
       *this, util::Endpoint{addr(), port}, dst);
-  connections_[{port, dst}] = conn;
+  add_connection(port, dst, conn);
   conn->start_connect();
   return conn;
 }
@@ -101,22 +102,26 @@ std::uint16_t HostStack::allocate_port() {
     const std::uint16_t candidate = next_ephemeral_;
     next_ephemeral_ =
         (next_ephemeral_ >= 65535) ? 1024 : next_ephemeral_ + 1;
-    bool used = listeners_.count(candidate) || udp_sockets_.count(candidate);
-    if (!used) {
-      for (const auto& [key, conn] : connections_) {
-        if (key.first == candidate) {
-          used = true;
-          break;
-        }
-      }
-    }
-    if (!used) return candidate;
+    if (!listeners_.count(candidate) && !udp_sockets_.count(candidate) &&
+        !port_use_.count(candidate))
+      return candidate;
   }
   return 0;  // Exhausted (practically unreachable).
 }
 
+void HostStack::add_connection(std::uint16_t local_port,
+                               util::Endpoint remote,
+                               std::shared_ptr<TcpConnection> conn) {
+  auto [it, inserted] =
+      connections_.insert_or_assign({local_port, remote}, std::move(conn));
+  if (inserted) ++port_use_[local_port];
+}
+
 void HostStack::remove_connection(const TcpConnection& conn) {
-  connections_.erase({conn.local().port, conn.remote()});
+  const std::uint16_t port = conn.local().port;
+  if (connections_.erase({port, conn.remote()}) == 0) return;
+  if (const auto it = port_use_.find(port); --it->second == 0)
+    port_use_.erase(it);
 }
 
 void HostStack::remove_udp(std::uint16_t port) { udp_sockets_.erase(port); }
@@ -288,7 +293,7 @@ void HostStack::handle_tcp_segment(util::Ipv4Addr src,
     if (auto it = listeners_.find(seg.dst_port); it != listeners_.end()) {
       auto conn = std::make_shared<TcpConnection>(
           *this, util::Endpoint{addr(), seg.dst_port}, remote);
-      connections_[{seg.dst_port, remote}] = conn;
+      add_connection(seg.dst_port, remote, conn);
       // Enter SYN_RCVD before handing the connection to the application:
       // servers commonly send a greeting straight from the accept
       // callback, and send() buffers in SYN_RCVD until establishment.

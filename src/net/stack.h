@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/tcp.h"
@@ -151,10 +152,18 @@ class HostStack {
   std::map<util::Ipv4Addr, util::MacAddr> arp_cache_;
   std::map<util::Ipv4Addr, PendingArp> arp_pending_;
 
+  /// Register a connection under its demux key, counting its local
+  /// port in port_use_.
+  void add_connection(std::uint16_t local_port, util::Endpoint remote,
+                      std::shared_ptr<TcpConnection> conn);
+
   // TCP demux: (local port, remote endpoint) -> connection.
   std::map<std::pair<std::uint16_t, util::Endpoint>,
            std::shared_ptr<TcpConnection>>
       connections_;
+  /// Entries of connections_ per local port, so allocate_port() tests a
+  /// candidate in O(1) instead of scanning every connection.
+  std::unordered_map<std::uint16_t, std::uint32_t> port_use_;
   std::map<std::uint16_t, AcceptHandler> listeners_;
 
   // UDP demux.

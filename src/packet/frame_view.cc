@@ -14,10 +14,10 @@ constexpr std::size_t kTypeOffset = 12;
 
 }  // namespace
 
-std::optional<FrameView> FrameView::parse(std::span<std::uint8_t> bytes,
-                                          ViewVerify verify) {
+std::optional<ConstFrameView> ConstFrameView::parse(
+    std::span<const std::uint8_t> bytes, ViewVerify verify) {
   if (bytes.size() < kEthHeader + 20) return std::nullopt;
-  FrameView view;
+  ConstFrameView view;
   view.base_ = bytes.data();
   std::size_t l3 = kEthHeader;
   std::uint16_t ethertype = view.rd16(kTypeOffset);
@@ -74,8 +74,15 @@ std::optional<FrameView> FrameView::parse(std::span<std::uint8_t> bytes,
   return view;
 }
 
+std::optional<FrameView> FrameView::parse(std::span<std::uint8_t> bytes,
+                                          ViewVerify verify) {
+  const auto view = ConstFrameView::parse(bytes, verify);
+  if (!view) return std::nullopt;
+  return FrameView(*view);
+}
+
 void FrameView::wr_mac(std::size_t at, const util::MacAddr& mac) {
-  std::memcpy(base_ + at, mac.bytes().data(), 6);
+  std::memcpy(bytes() + at, mac.bytes().data(), 6);
 }
 
 void FrameView::l4_csum_update32(std::uint32_t old_word,

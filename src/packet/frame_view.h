@@ -31,14 +31,19 @@ namespace gq::pkt {
 /// verifies the L4 checksum (tests, defensive callers).
 enum class ViewVerify { kNone, kIpHeader, kFull };
 
-class FrameView {
+/// Read-only view: locates the header offsets of a canonical frame over
+/// const bytes and exposes the read accessors. FrameView is this view
+/// plus the in-place setters, so both share one set of parse rules;
+/// callers that only read (the trace taps' flow indexing) check the
+/// caller's bytes in place instead of copying them first.
+class ConstFrameView {
  public:
   /// Locate header offsets over `bytes` (untagged or single 802.1Q tag).
   /// Returns nullopt for non-IPv4, non-TCP/UDP, or non-canonical frames.
   /// The view aliases `bytes` and is invalidated by any resize of the
   /// underlying buffer.
-  static std::optional<FrameView> parse(
-      std::span<std::uint8_t> bytes,
+  static std::optional<ConstFrameView> parse(
+      std::span<const std::uint8_t> bytes,
       ViewVerify verify = ViewVerify::kIpHeader);
 
   // --- Read accessors ---------------------------------------------------
@@ -71,6 +76,34 @@ class FrameView {
     return FlowKey{proto(), {ip_src(), src_port()}, {ip_dst(), dst_port()}};
   }
 
+ protected:
+  [[nodiscard]] std::uint16_t rd16(std::size_t at) const {
+    return static_cast<std::uint16_t>((base_[at] << 8) | base_[at + 1]);
+  }
+  [[nodiscard]] std::uint32_t rd32(std::size_t at) const {
+    return (static_cast<std::uint32_t>(base_[at]) << 24) |
+           (static_cast<std::uint32_t>(base_[at + 1]) << 16) |
+           (static_cast<std::uint32_t>(base_[at + 2]) << 8) |
+           static_cast<std::uint32_t>(base_[at + 3]);
+  }
+
+  const std::uint8_t* base_ = nullptr;
+  std::uint16_t l3_ = 0;        ///< Offset of the IPv4 header.
+  std::uint16_t l4_ = 0;        ///< Offset of the TCP/UDP header.
+  std::uint16_t l4_csum_ = 0;   ///< Offset of the L4 checksum field.
+  std::uint32_t payload_len_ = 0;
+  std::uint8_t proto_ = 0;
+  std::optional<std::uint16_t> vlan_;
+};
+
+class FrameView : public ConstFrameView {
+ public:
+  /// ConstFrameView::parse over mutable bytes, which the setters below
+  /// rewrite in place.
+  static std::optional<FrameView> parse(
+      std::span<std::uint8_t> bytes,
+      ViewVerify verify = ViewVerify::kIpHeader);
+
   // --- In-place rewrite (checksums maintained incrementally) -----------
   void set_eth_src(const util::MacAddr& mac) { wr_mac(6, mac); }
   void set_eth_dst(const util::MacAddr& mac) { wr_mac(0, mac); }
@@ -82,18 +115,16 @@ class FrameView {
   void set_tcp_ack(std::uint32_t ack) { set_l4_u32(l4_ + 8, ack); }
 
  private:
-  [[nodiscard]] std::uint16_t rd16(std::size_t at) const {
-    return static_cast<std::uint16_t>((base_[at] << 8) | base_[at + 1]);
-  }
-  [[nodiscard]] std::uint32_t rd32(std::size_t at) const {
-    return (static_cast<std::uint32_t>(base_[at]) << 24) |
-           (static_cast<std::uint32_t>(base_[at + 1]) << 16) |
-           (static_cast<std::uint32_t>(base_[at + 2]) << 8) |
-           static_cast<std::uint32_t>(base_[at + 3]);
+  explicit FrameView(const ConstFrameView& view) : ConstFrameView(view) {}
+
+  /// The viewed bytes, writable: parse() only builds a FrameView over a
+  /// mutable span.
+  [[nodiscard]] std::uint8_t* bytes() {
+    return const_cast<std::uint8_t*>(base_);
   }
   void wr16(std::size_t at, std::uint16_t v) {
-    base_[at] = static_cast<std::uint8_t>(v >> 8);
-    base_[at + 1] = static_cast<std::uint8_t>(v);
+    bytes()[at] = static_cast<std::uint8_t>(v >> 8);
+    bytes()[at + 1] = static_cast<std::uint8_t>(v);
   }
   void wr32(std::size_t at, std::uint32_t v) {
     wr16(at, static_cast<std::uint16_t>(v >> 16));
@@ -107,14 +138,6 @@ class FrameView {
   /// Apply an incremental delta to the L4 checksum (UDP zero-checksum
   /// convention preserved).
   void l4_csum_update32(std::uint32_t old_word, std::uint32_t new_word);
-
-  std::uint8_t* base_ = nullptr;
-  std::uint16_t l3_ = 0;        ///< Offset of the IPv4 header.
-  std::uint16_t l4_ = 0;        ///< Offset of the TCP/UDP header.
-  std::uint16_t l4_csum_ = 0;   ///< Offset of the L4 checksum field.
-  std::uint32_t payload_len_ = 0;
-  std::uint8_t proto_ = 0;
-  std::optional<std::uint16_t> vlan_;
 };
 
 /// Peek the 802.1Q VID of a raw frame without building a view (nullopt

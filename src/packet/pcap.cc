@@ -37,10 +37,17 @@ void PcapWriter::record(util::TimePoint at,
   const auto usec_total = static_cast<std::uint64_t>(at.usec);
   const auto orig_len = static_cast<std::uint32_t>(frame.size());
   const std::uint32_t incl_len = std::min(orig_len, kPcapSnapLen);
-  put_u32le(buf_, static_cast<std::uint32_t>(usec_total / 1'000'000));
-  put_u32le(buf_, static_cast<std::uint32_t>(usec_total % 1'000'000));
-  put_u32le(buf_, incl_len);
-  put_u32le(buf_, orig_len);
+  const std::uint32_t fields[4] = {
+      static_cast<std::uint32_t>(usec_total / 1'000'000),
+      static_cast<std::uint32_t>(usec_total % 1'000'000), incl_len, orig_len};
+  std::uint8_t header[kPcapRecordHeaderSize];
+  for (std::size_t i = 0; i < 4; ++i) {
+    header[4 * i] = static_cast<std::uint8_t>(fields[i]);
+    header[4 * i + 1] = static_cast<std::uint8_t>(fields[i] >> 8);
+    header[4 * i + 2] = static_cast<std::uint8_t>(fields[i] >> 16);
+    header[4 * i + 3] = static_cast<std::uint8_t>(fields[i] >> 24);
+  }
+  buf_.insert(buf_.end(), header, header + kPcapRecordHeaderSize);
   buf_.insert(buf_.end(), frame.begin(), frame.begin() + incl_len);
   ++packet_count_;
 }

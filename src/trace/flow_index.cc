@@ -1,62 +1,149 @@
 #include "trace/flow_index.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/addr.h"
 #include "util/strings.h"
 
 namespace gq::trace {
 
-FlowRecord* FlowIndex::lookup(const pkt::FlowKey& key, std::uint16_t vlan) {
-  if (auto it = by_key_.find({key, vlan}); it != by_key_.end())
-    return &flows_[it->second];
-  if (auto it = by_key_.find({key.reversed(), vlan}); it != by_key_.end())
-    return &flows_[it->second];
-  return nullptr;
+namespace {
+
+std::uint64_t endpoint_word(const util::Endpoint& endpoint) {
+  return (std::uint64_t{endpoint.addr.value()} << 16) | endpoint.port;
 }
 
-FlowRecord& FlowIndex::touch(const pkt::FlowKey& key, std::uint16_t vlan,
-                             util::TimePoint at, std::size_t frame_bytes,
-                             Location loc) {
-  FlowRecord* record = lookup(key, vlan);
-  if (!record) {
+/// Hash of (5-tuple, VLAN) that is the same for both directions: the
+/// endpoints enter in sorted order.
+std::uint64_t canonical_hash(const pkt::FlowKey& key, std::uint16_t vlan) {
+  const std::uint64_t a = endpoint_word(key.src);
+  const std::uint64_t b = endpoint_word(key.dst);
+  const std::uint64_t hi = std::max(a, b) ^ (std::uint64_t{vlan} << 48) ^
+                           (static_cast<std::uint64_t>(key.proto) << 56);
+  return pkt::FlowKeyHash::mix(std::min(a, b) ^ pkt::FlowKeyHash::mix(hi));
+}
+
+bool same_flow(const FlowRecord& record, const pkt::FlowKey& key,
+               std::uint16_t vlan) {
+  return record.vlan == vlan && record.key.proto == key.proto &&
+         ((record.key.src == key.src && record.key.dst == key.dst) ||
+          (record.key.src == key.dst && record.key.dst == key.src));
+}
+
+}  // namespace
+
+std::size_t FlowIndex::probe(const pkt::FlowKey& key, std::uint16_t vlan,
+                             std::uint64_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  const auto tag = static_cast<std::uint32_t>(hash >> 32);
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kNoFlow ||
+        (slot.tag == tag && same_flow(flows_[slot.id], key, vlan)))
+      return i;
+  }
+}
+
+std::optional<std::uint32_t> FlowIndex::lookup(const pkt::FlowKey& key,
+                                               std::uint16_t vlan) const {
+  if (slots_.empty()) return std::nullopt;
+  const std::uint32_t id =
+      slots_[probe(key, vlan, canonical_hash(key, vlan))].id;
+  if (id == kNoFlow) return std::nullopt;
+  return id;
+}
+
+std::uint32_t FlowIndex::insert(FlowRecord record, std::size_t slot,
+                                std::uint64_t hash) {
+  if (2 * (flows_.size() + 1) > slots_.size()) {
+    // Double the table; ids already in it are unique, so each old slot
+    // moves to the first free slot of its probe sequence.
+    const std::size_t size = std::max<std::size_t>(16, 2 * slots_.size());
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(size));
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& moved : old) {
+      if (moved.id == kNoFlow) continue;
+      const FlowRecord& flow = flows_[moved.id];
+      std::size_t i = canonical_hash(flow.key, flow.vlan) & mask;
+      while (slots_[i].id != kNoFlow) i = (i + 1) & mask;
+      slots_[i] = moved;
+    }
+    slot = probe(record.key, record.vlan, hash);
+  }
+  const auto id = static_cast<std::uint32_t>(flows_.size());
+  slots_[slot] = {static_cast<std::uint32_t>(hash >> 32), id};
+  flows_.push_back(std::move(record));
+  return id;
+}
+
+std::uint32_t FlowIndex::touch(const pkt::FlowKey& key, std::uint16_t vlan,
+                               util::TimePoint at, std::size_t frame_bytes) {
+  const std::uint64_t hash = canonical_hash(key, vlan);
+  std::size_t slot = 0;
+  std::uint32_t id = kNoFlow;
+  if (!slots_.empty()) {
+    slot = probe(key, vlan, hash);
+    id = slots_[slot].id;
+  }
+  if (id == kNoFlow) {
     FlowRecord fresh;
     fresh.key = key;
     fresh.vlan = vlan;
     fresh.first_time = at;
-    flows_.push_back(std::move(fresh));
-    by_key_[{key, vlan}] = flows_.size() - 1;
-    record = &flows_.back();
+    id = insert(std::move(fresh), slot, hash);
   }
-  ++record->packets;
-  record->bytes += frame_bytes;
-  record->last_time = at;
-  record->locations.push_back(loc);
-  return *record;
+  FlowRecord& record = flows_[id];
+  ++record.packets;
+  record.bytes += frame_bytes;
+  record.last_time = at;
+  return id;
 }
 
 bool FlowIndex::annotate(const pkt::FlowKey& key, std::uint16_t vlan,
                          shim::Verdict verdict,
                          const std::string& policy_name,
                          shim::VerdictSource source) {
-  FlowRecord* record = lookup(key, vlan);
-  if (!record) return false;
-  record->has_verdict = true;
-  record->verdict = verdict;
-  record->policy_name = policy_name;
-  record->verdict_source = source;
+  const auto id = lookup(key, vlan);
+  if (!id) return false;
+  FlowRecord& record = flows_[*id];
+  record.has_verdict = true;
+  record.verdict = verdict;
+  record.policy_name = policy_name;
+  record.verdict_source = source;
   return true;
 }
 
 const FlowRecord* FlowIndex::find(const pkt::FlowKey& key,
                                   std::uint16_t vlan) const {
-  return const_cast<FlowIndex*>(this)->lookup(key, vlan);
+  const auto id = lookup(key, vlan);
+  return id ? &flows_[*id] : nullptr;
 }
 
-void FlowIndex::restore(FlowRecord record) {
-  const MapKey map_key{record.key, record.vlan};
-  flows_.push_back(std::move(record));
-  by_key_[map_key] = flows_.size() - 1;
+std::optional<std::uint32_t> FlowIndex::id_of(
+    const FlowRecord& record) const {
+  const auto id = lookup(record.key, record.vlan);
+  if (id && &flows_[*id] == &record) return id;
+  // A restored row whose key an earlier row already holds is reachable
+  // only by address; a record of another index only by key.
+  for (std::size_t i = 0; i < flows_.size(); ++i)
+    if (&flows_[i] == &record) return static_cast<std::uint32_t>(i);
+  return id;
+}
+
+std::uint32_t FlowIndex::restore(FlowRecord record) {
+  const std::uint64_t hash = canonical_hash(record.key, record.vlan);
+  std::size_t slot = 0;
+  if (!slots_.empty()) {
+    slot = probe(record.key, record.vlan, hash);
+    if (slots_[slot].id != kNoFlow) {
+      flows_.push_back(std::move(record));
+      return static_cast<std::uint32_t>(flows_.size() - 1);
+    }
+  }
+  return insert(std::move(record), slot, hash);
 }
 
 namespace {
@@ -81,7 +168,8 @@ std::optional<std::int64_t> parse_ranged(std::string_view text,
 
 }  // namespace
 
-std::string flow_record_line(const FlowRecord& record) {
+std::string flow_record_line(const FlowRecord& record,
+                             std::span<const Location> locations) {
   std::ostringstream line;
   line << "flow\t"
        << (record.key.proto == pkt::FlowProto::kTcp ? "tcp" : "udp") << '\t'
@@ -93,9 +181,9 @@ std::string flow_record_line(const FlowRecord& record) {
        << (record.has_verdict ? shim::verdict_name(record.verdict) : "-")
        << '\t' << (record.policy_name.empty() ? "-" : record.policy_name)
        << '\t';
-  for (std::size_t i = 0; i < record.locations.size(); ++i) {
+  for (std::size_t i = 0; i < locations.size(); ++i) {
     if (i) line << ',';
-    line << record.locations[i].segment << ':' << record.locations[i].offset;
+    line << locations[i].segment << ':' << locations[i].offset;
   }
   // Trailing columns, append-only for backward compatibility: verdict
   // source, then tenant/job attribution.
@@ -107,13 +195,14 @@ std::string flow_record_line(const FlowRecord& record) {
   return line.str();
 }
 
-std::optional<FlowRecord> parse_flow_record_line(std::string_view line) {
+std::optional<FlowLine> parse_flow_record_line(std::string_view line) {
   const auto fields = util::split(line, '\t');
   // Mandatory columns run through `policy` (index 12); everything after
   // is optional so older archives still load.
   if (fields.size() < 13 || fields[0] != "flow") return std::nullopt;
 
-  FlowRecord record;
+  FlowLine parsed;
+  FlowRecord& record = parsed.record;
   if (fields[1] == "tcp") {
     record.key.proto = pkt::FlowProto::kTcp;
   } else if (fields[1] == "udp") {
@@ -161,7 +250,7 @@ std::optional<FlowRecord> parse_flow_record_line(std::string_view line) {
       const auto offset = util::parse_int(
           std::string_view(pair).substr(colon + 1));
       if (!segment || *segment < 0 || !offset || *offset < 0) continue;
-      record.locations.push_back({static_cast<std::uint64_t>(*segment),
+      parsed.locations.push_back({static_cast<std::uint64_t>(*segment),
                                   static_cast<std::uint64_t>(*offset)});
     }
   }
@@ -177,7 +266,7 @@ std::optional<FlowRecord> parse_flow_record_line(std::string_view line) {
     if (const auto job = util::parse_int(fields[16]); job && *job >= 0)
       record.job = static_cast<std::uint64_t>(*job);
   }
-  return record;
+  return parsed;
 }
 
 }  // namespace gq::trace

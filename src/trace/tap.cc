@@ -65,21 +65,17 @@ void TraceTap::refresh_metrics() {
 void TraceTap::record(util::TimePoint at,
                       std::span<const std::uint8_t> frame,
                       std::uint16_t vlan_hint) {
-  const Location loc = archive_.record(at, frame);
-  // Index by flow key when the frame parses as TCP/UDP. FrameView wants
-  // mutable bytes (it doubles as the rewrite engine), so parse a scratch
-  // copy; at capture granularity the copy is noise next to the archive
-  // append itself.
-  scratch_.assign(frame.begin(), frame.end());
-  if (const auto view = pkt::FrameView::parse(scratch_)) {
-    FlowRecord& record =
-        index_.touch(view->flow_key(), view->vlan().value_or(vlan_hint), at,
-                     frame.size(), loc);
+  std::uint32_t flow = kNoFlow;
+  if (const auto view = pkt::ConstFrameView::parse(frame)) {
+    flow = index_.touch(view->flow_key(), view->vlan().value_or(vlan_hint),
+                        at, frame.size());
     // Stamp tenant/job attribution; a record that already carries an
     // identity (restored, or captured under an earlier context) keeps it.
+    FlowRecord& record = index_.flow(flow);
     if (record.tenant.empty()) record.tenant = tenant_;
     if (record.job == 0) record.job = job_;
   }
+  archive_.record(at, frame, flow);
   refresh_metrics();
 }
 
@@ -93,8 +89,10 @@ bool TraceTap::annotate(const pkt::FlowKey& key, std::uint16_t vlan,
 std::vector<pkt::PcapRecord> TraceTap::extract_flow(
     const FlowRecord& flow) const {
   std::vector<pkt::PcapRecord> records;
-  records.reserve(flow.locations.size());
-  for (const auto& loc : flow.locations) {
+  const auto id = index_.id_of(flow);
+  if (!id) return records;
+  const auto locations = archive_.locations_by_flow(index_.flow_count());
+  for (const auto& loc : locations.of(*id)) {
     if (auto record = archive_.record_at(loc))
       records.push_back(std::move(*record));
   }
@@ -137,8 +135,9 @@ bool TraceTap::save(const std::string& dir) const {
   if (!write_file(dir + "/manifest.txt", manifest.str())) return false;
 
   std::ostringstream flows;
-  for (const auto& flow : index_.flows())
-    flows << flow_record_line(flow) << '\n';
+  const auto locations = archive_.locations_by_flow(index_.flow_count());
+  for (std::uint32_t id = 0; id < index_.flow_count(); ++id)
+    flows << flow_record_line(index_.flows()[id], locations.of(id)) << '\n';
   return write_file(dir + "/flows.txt", flows.str());
 }
 
@@ -208,13 +207,17 @@ std::optional<TraceTap> load_trace(const std::string& dir) {
     std::istringstream flows(
         std::string(flows_bytes->begin(), flows_bytes->end()));
     std::string line;
+    std::vector<TraceArchiver::Claim> claims;
     while (std::getline(flows, line)) {
       // Hardened parser (trace/flow_index.h): malformed lines are
       // dropped, never thrown on — the fuzz suite drives this with
       // mutated archives.
-      if (auto record = parse_flow_record_line(line))
-        tap.index_.restore(std::move(*record));
+      auto parsed = parse_flow_record_line(line);
+      if (!parsed) continue;
+      const std::uint32_t id = tap.index_.restore(std::move(parsed->record));
+      for (const auto& loc : parsed->locations) claims.push_back({loc, id});
     }
+    tap.archive_.restore_flows(std::move(claims));
   }
   return tap;
 }

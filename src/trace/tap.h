@@ -11,6 +11,12 @@
 // Saved archives are what examples/gq_trace lists, summarises, and
 // extracts flows from, and what the golden-trace replay regression
 // feeds back through a fresh farm.
+//
+// Memory is bounded by the archive budget plus one FlowRecord per flow:
+// record() indexes the caller's bytes in place (no copy) and the only
+// per-packet state is the (offset, flow id) pair its archive segment
+// keeps. Flow locations -- in extract_flow, in flows.txt, and in the
+// FlowDB rows built from a tap -- are the retained packets only.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +49,12 @@ class TraceTap {
   TraceTap(TraceTap&&) = default;
   TraceTap& operator=(TraceTap&&) = default;
 
-  /// Capture one frame: archive it, index it by flow when it parses as
-  /// a TCP/UDP frame (tagged or untagged), update metrics. `vlan_hint`
-  /// is the VLAN to index an *untagged* frame under — record sites that
-  /// capture post-strip (the subfarm taps) know the VLAN even though
-  /// the archived bytes no longer carry it; a tagged frame's own tag
-  /// always wins.
+  /// Capture one frame: index it by flow when it parses as a canonical
+  /// TCP/UDP frame (tagged or untagged), archive it under that flow id,
+  /// update metrics. `vlan_hint` is the VLAN to index an *untagged*
+  /// frame under — record sites that capture post-strip (the subfarm
+  /// taps) know the VLAN even though the archived bytes no longer carry
+  /// it; a tagged frame's own tag always wins.
   void record(util::TimePoint at, std::span<const std::uint8_t> frame,
               std::uint16_t vlan_hint = 0);
 
@@ -86,8 +92,10 @@ class TraceTap {
     return archive_.contents();
   }
 
-  /// O(flow) packet extraction: resolve each of the flow's recorded
-  /// locations, skipping those rotated out of the archive.
+  /// The flow's retained packets, capture order. O(retained records):
+  /// one pass over the segments' flow ids, no frame re-parsing. Packets
+  /// rotated out of the archive are gone; the record's counters still
+  /// cover them.
   [[nodiscard]] std::vector<pkt::PcapRecord> extract_flow(
       const FlowRecord& flow) const;
 
@@ -108,7 +116,6 @@ class TraceTap {
   std::uint64_t job_ = 0;    ///< 0 = unattributed.
   TraceArchiver archive_;
   FlowIndex index_;
-  std::vector<std::uint8_t> scratch_;  ///< FrameView needs mutable bytes.
   obs::Gauge* segments_gauge_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
   obs::Counter* evicted_ctr_ = nullptr;

@@ -31,8 +31,9 @@
 #include "flowdb/scan_impl.h"
 #include "flowdb/store.h"
 #include "obs/metrics.h"
+#include "packet/frame.h"
 #include "shim/shim.h"
-#include "trace/flow_index.h"
+#include "trace/tap.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -315,26 +316,29 @@ TEST(FlowDbSmoke, DiffVerdictsGatesPerturbedDistributions) {
 }
 
 TEST(FlowDbSmoke, TenantJobCarryFromArchiveIntoStore) {
-  trace::FlowIndex index;
+  trace::TraceTap tap("job-tap", {}, nullptr);
   for (int i = 0; i < 10; ++i) {
-    trace::FlowRecord record;
-    record.key.proto = pkt::FlowProto::kTcp;
-    record.key.src = {util::Ipv4Addr(10, 9, 0, 1), std::uint16_t(1000 + i)};
-    record.key.dst = {util::Ipv4Addr(192, 150, 187, 12), 80};
-    record.tenant = i % 2 ? "acme" : "umbrella";
-    record.job = 40 + i;
-    record.packets = 3;
-    record.bytes = 300;
-    if (i % 3 == 0) {
-      record.has_verdict = true;
-      record.verdict = shim::Verdict::kRewrite;
-      record.verdict_source = shim::VerdictSource::kTable;
-      record.policy_name = "tables";
-    }
-    index.restore(std::move(record));
+    const pkt::FlowKey key{
+        pkt::FlowProto::kTcp,
+        {util::Ipv4Addr(10, 9, 0, 1), std::uint16_t(1000 + i)},
+        {util::Ipv4Addr(192, 150, 187, 12), 80}};
+    tap.set_context(i % 2 ? "acme" : "umbrella", 40 + i);
+    pkt::DecodedFrame frame;
+    frame.eth.ethertype = pkt::kEtherTypeIpv4;
+    frame.ip = pkt::Ipv4Packet{};
+    frame.ip->src = key.src.addr;
+    frame.ip->dst = key.dst.addr;
+    frame.tcp = pkt::TcpSegment{};
+    frame.tcp->src_port = key.src.port;
+    frame.tcp->dst_port = key.dst.port;
+    for (int p = 0; p < 3; ++p)
+      tap.record(util::TimePoint{i * 10 + p}, frame.encode());
+    if (i % 3 == 0)
+      tap.annotate(key, 0, shim::Verdict::kRewrite, "tables",
+                   shim::VerdictSource::kTable);
   }
   flowdb::Writer writer;
-  writer.add_index(index, "job-tap");
+  writer.add_tap(tap);
   OneSegmentStore store(writer);
   ASSERT_TRUE(store);
   flowdb::Filter by_tenant;

@@ -632,8 +632,9 @@ TEST(FuzzJobSpec, RandomGarbageNeverCrashesAndRarelyParses) {
 
 // --- flows.txt loader (trace::parse_flow_record_line) ---------------------
 
-trace::FlowRecord random_flow_record(util::Rng& rng) {
-  trace::FlowRecord record;
+trace::FlowLine random_flow_line(util::Rng& rng) {
+  trace::FlowLine line;
+  trace::FlowRecord& record = line.record;
   record.key.proto =
       rng.chance(0.5) ? pkt::FlowProto::kTcp : pkt::FlowProto::kUdp;
   record.key.src = random_endpoint(rng);
@@ -653,22 +654,23 @@ trace::FlowRecord random_flow_record(util::Rng& rng) {
   record.job = rng.below(1u << 16);
   const auto locs = rng.below(5);
   for (std::uint64_t l = 0; l < locs; ++l)
-    record.locations.push_back({rng.below(64), rng.below(1u << 20)});
-  return record;
+    line.locations.push_back({rng.below(64), rng.below(1u << 20)});
+  return line;
 }
 
 TEST(FuzzFlowLine, MutatedLinesRejectOrParseNeverCrash) {
   util::Rng rng(0xF00D000E);
   for (int i = 0; i < kCases; ++i) {
-    std::string line = trace::flow_record_line(random_flow_record(rng));
+    const auto flow = random_flow_line(rng);
+    std::string line = trace::flow_record_line(flow.record, flow.locations);
     const auto mutations = 1 + rng.below(3);
     for (std::uint64_t m = 0; m < mutations; ++m) mutate_line(rng, line);
     const auto parsed = trace::parse_flow_record_line(line);
     if (!parsed) continue;
     // Whatever survives must round-trip through the canonical
     // serializer unchanged (archives are rewritten as text on save).
-    const auto reparsed =
-        trace::parse_flow_record_line(trace::flow_record_line(*parsed));
+    const auto reparsed = trace::parse_flow_record_line(
+        trace::flow_record_line(parsed->record, parsed->locations));
     ASSERT_TRUE(reparsed) << line;
     ASSERT_EQ(*reparsed, *parsed) << line;
   }
@@ -677,11 +679,11 @@ TEST(FuzzFlowLine, MutatedLinesRejectOrParseNeverCrash) {
 TEST(FuzzFlowLine, CanonicalLinesAlwaysRoundTrip) {
   util::Rng rng(0xF00D000F);
   for (int i = 0; i < kCases; ++i) {
-    const auto record = random_flow_record(rng);
-    const auto parsed =
-        trace::parse_flow_record_line(trace::flow_record_line(record));
+    const auto flow = random_flow_line(rng);
+    const auto parsed = trace::parse_flow_record_line(
+        trace::flow_record_line(flow.record, flow.locations));
     ASSERT_TRUE(parsed);
-    ASSERT_EQ(*parsed, record);
+    ASSERT_EQ(*parsed, flow);
   }
 }
 
@@ -694,7 +696,7 @@ TEST(FuzzFlowLine, RandomGarbageNeverCrashes) {
     if (parsed) {
       // Lawful values only: ports/VLAN fit their types by construction,
       // counters are never negative (they parsed through range gates).
-      (void)parsed->key;
+      (void)parsed->record.key;
       (void)parsed->locations;
     }
   }

@@ -123,6 +123,25 @@ TEST(ShardedFarm, SerialAndParallelStreamsAreBitIdentical) {
   }
 }
 
+// Mailbox overflow is loss, so it must be visible without a debugger:
+// the farm publishes the lockstep drop count as shard.overflow_dropped.
+TEST(ShardedFarm, MailboxOverflowIsPublished) {
+  core::ShardedFarmOptions options;
+  options.shards = 2;
+  options.mailbox_capacity = 1;  // Any epoch with 2+ frames on a link drops.
+  core::ShardedFarm farm(options, build_spam_shard);
+  auto& cc_host = farm.shard(0).add_external_host("cc", kCcAddr);
+  ext::CcServer cc(cc_host, 80);
+  const auto* dropped =
+      farm.metrics().find_counter("shard.overflow_dropped");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value(), 0u);
+  farm.run_for(util::seconds(30));
+  farm.run_for(util::seconds(30));
+  EXPECT_GT(farm.lockstep_stats().overflow_dropped, 0u);
+  EXPECT_EQ(dropped->value(), farm.lockstep_stats().overflow_dropped);
+}
+
 TEST(ShardedFarm, DistinctSeedsProvablyDiverge) {
   const auto duration = util::seconds(90);
   const RunResult a = run_spam_farm(0x5EED01, 1, 2, duration);

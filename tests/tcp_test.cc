@@ -5,7 +5,10 @@
 // surgery on live flows.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "net/stack.h"
 #include "net/tcp.h"
@@ -13,6 +16,7 @@
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
 #include "util/addr.h"
+#include "util/rng.h"
 
 namespace gq::net {
 namespace {
@@ -199,6 +203,51 @@ TEST_F(TcpFixture, EphemeralPortsDistinct) {
   auto c1 = alice.connect({Ipv4Addr(10, 0, 0, 2), 80});
   auto c2 = alice.connect({Ipv4Addr(10, 0, 0, 2), 80});
   EXPECT_NE(c1->local().port, c2->local().port);
+}
+
+// allocate_port() keeps a use count per local port instead of scanning
+// every open connection per candidate. It must hand out exactly the
+// ports the scan did: the next port, in wrap-around order, that no
+// listener, UDP socket or open connection holds.
+TEST_F(TcpFixture, AllocatePortMatchesConnectionScan) {
+  std::map<std::uint16_t, int> live;  // Local port -> open connections.
+  std::uint16_t next = 1024;
+  auto scan = [&] {
+    for (;;) {
+      const std::uint16_t candidate = next;
+      next = next >= 65535 ? 1024 : next + 1;
+      if (!live.count(candidate)) return candidate;
+    }
+  };
+  util::Rng rng(0xA110C);
+  std::vector<std::shared_ptr<TcpConnection>> open;
+  auto open_and_close = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      auto conn = alice.connect(
+          {Ipv4Addr(10, 0, 0, 2), static_cast<std::uint16_t>(80 + i % 7)});
+      ASSERT_EQ(conn->local().port, scan());
+      ++live[conn->local().port];
+      open.push_back(std::move(conn));
+      if (rng.chance(0.5)) {
+        const auto victim = static_cast<std::size_t>(rng.below(open.size()));
+        const std::uint16_t port = open[victim]->local().port;
+        open[victim]->abort();
+        if (--live[port] == 0) live.erase(port);
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+    }
+  };
+  open_and_close(1000);
+  ASSERT_GT(open.size(), 400u);
+  // Walk the rest of the ephemeral range with UDP allocations (same
+  // allocator) so the next connections wrap onto ports still held.
+  while (next != 1024) {
+    auto sock = alice.udp_open(0);
+    ASSERT_EQ(sock->port(), scan());
+    sock->close();
+  }
+  open_and_close(1000);
+  for (auto& conn : open) conn->abort();
 }
 
 TEST_F(TcpFixture, UdpRoundTrip) {

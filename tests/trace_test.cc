@@ -9,18 +9,22 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "containment/policy.h"
 #include "core/farm.h"
+#include "flowdb/flowdb.h"
 #include "packet/frame.h"
 #include "packet/pcap.h"
 #include "trace/archive.h"
 #include "trace/flow_index.h"
 #include "trace/replay.h"
 #include "trace/tap.h"
+#include "util/strings.h"
 
 namespace gq {
 namespace {
@@ -184,9 +188,9 @@ TEST(FlowIndex, CanonicalizesBidirectionally) {
   const pkt::FlowKey key{pkt::FlowProto::kTcp,
                          {Ipv4Addr(10, 0, 0, 5), 1234},
                          {Ipv4Addr(1, 2, 3, 4), 80}};
-  index.touch(key, 7, util::TimePoint{10}, 100, {0, 24});
-  index.touch(key.reversed(), 7, util::TimePoint{20}, 60, {0, 140});
-  index.touch(key, 7, util::TimePoint{30}, 100, {0, 216});
+  index.touch(key, 7, util::TimePoint{10}, 100);
+  index.touch(key.reversed(), 7, util::TimePoint{20}, 60);
+  index.touch(key, 7, util::TimePoint{30}, 100);
 
   ASSERT_EQ(index.flow_count(), 1u);
   const auto* flow = index.find(key.reversed(), 7);
@@ -196,10 +200,9 @@ TEST(FlowIndex, CanonicalizesBidirectionally) {
   EXPECT_EQ(flow->bytes, 260u);
   EXPECT_EQ(flow->first_time.usec, 10);
   EXPECT_EQ(flow->last_time.usec, 30);
-  ASSERT_EQ(flow->locations.size(), 3u);
 
   // Same 5-tuple on a different VLAN is a different flow.
-  index.touch(key, 8, util::TimePoint{40}, 100, {0, 316});
+  index.touch(key, 8, util::TimePoint{40}, 100);
   EXPECT_EQ(index.flow_count(), 2u);
 }
 
@@ -209,7 +212,7 @@ TEST(FlowIndex, AnnotateAttachesVerdict) {
                          {Ipv4Addr(10, 0, 0, 5), 5353},
                          {Ipv4Addr(8, 8, 8, 8), 53}};
   EXPECT_FALSE(index.annotate(key, 3, shim::Verdict::kDrop, "p"));
-  index.touch(key, 3, util::TimePoint{1}, 80, {0, 24});
+  index.touch(key, 3, util::TimePoint{1}, 80);
   EXPECT_TRUE(
       index.annotate(key.reversed(), 3, shim::Verdict::kForward, "dns-ok"));
   const auto* flow = index.find(key, 3);
@@ -231,9 +234,9 @@ TEST(FlowIndex, RestoreRebuildsBidirectionalFindAfterSaveLoadRoundTrip) {
   const pkt::FlowKey table_key{pkt::FlowProto::kUdp,
                                {Ipv4Addr(10, 9, 0, 5), 5353},
                                {Ipv4Addr(8, 8, 8, 8), 53}};
-  index.touch(shim_key, 12, util::TimePoint{100}, 80, {0, 24});
-  index.touch(shim_key.reversed(), 12, util::TimePoint{150}, 60, {0, 120});
-  index.touch(table_key, 12, util::TimePoint{200}, 90, {1, 24});
+  index.touch(shim_key, 12, util::TimePoint{100}, 80);
+  index.touch(shim_key.reversed(), 12, util::TimePoint{150}, 60);
+  index.touch(table_key, 12, util::TimePoint{200}, 90);
   ASSERT_TRUE(index.annotate(shim_key, 12, shim::Verdict::kRewrite, "botdl",
                              shim::VerdictSource::kShim));
   ASSERT_TRUE(index.annotate(table_key.reversed(), 12, shim::Verdict::kDrop,
@@ -249,8 +252,8 @@ TEST(FlowIndex, RestoreRebuildsBidirectionalFindAfterSaveLoadRoundTrip) {
     const auto parsed =
         trace::parse_flow_record_line(trace::flow_record_line(flow));
     ASSERT_TRUE(parsed);
-    ASSERT_EQ(*parsed, flow);
-    restored.restore(*parsed);
+    ASSERT_EQ(parsed->record, flow);
+    restored.restore(parsed->record);
   }
   ASSERT_EQ(restored.flow_count(), index.flow_count());
 
@@ -392,6 +395,202 @@ TEST(TraceTap, SaveLoadRoundTrip) {
 
 TEST(TraceTap, LoadRejectsMissingArchive) {
   EXPECT_FALSE(trace::load_trace("no_such_trace_dir").has_value());
+}
+
+// --- Locations live in the archive: the retained packets only -----------
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/// Retained records of `archive` whose TCP tuple is `key` (one
+/// direction), in capture order: the reference a flow's derived
+/// locations must reproduce.
+std::vector<pkt::PcapRecord> retained_of(const trace::TraceArchiver& archive,
+                                         const pkt::FlowKey& key) {
+  std::vector<pkt::PcapRecord> out;
+  for (auto& record : archive.records()) {
+    const auto decoded = pkt::decode_frame(record.frame);
+    if (decoded && pkt::flow_key_of(*decoded) == key)
+      out.push_back(std::move(record));
+  }
+  return out;
+}
+
+TEST(TraceTap, LongFlowLocationsAreItsRetainedPackets) {
+  trace::ArchiveConfig config;
+  config.segment_bytes = 512;
+  config.max_segments = 2;
+  trace::TraceTap tap("long", config, nullptr);
+  const pkt::FlowKey key{pkt::FlowProto::kTcp,
+                         {Ipv4Addr(10, 1, 0, 7), 3000},
+                         {Ipv4Addr(198, 51, 100, 3), 80}};
+  const std::vector<std::uint8_t> not_a_flow(60, 0xEE);
+  for (int i = 0; i < 200; ++i) {
+    tap.record(util::TimePoint{i * 10},
+               tcp_frame(key.src.addr, key.dst.addr, 3000, 80, 24));
+    if (i % 5 == 0) {
+      tap.record(util::TimePoint{i * 10 + 1},
+                 tcp_frame(Ipv4Addr(10, 1, 0, 8), key.dst.addr, 3001, 80, 8));
+      tap.record(util::TimePoint{i * 10 + 2}, not_a_flow);
+    }
+  }
+  ASSERT_GT(tap.archive().evicted_segments(), 0u);
+  const auto* flow = tap.index().find(key, 0);
+  ASSERT_NE(flow, nullptr);
+  EXPECT_EQ(flow->packets, 200u);  // Lifetime, evicted packets included.
+
+  const auto id = tap.index().id_of(*flow);
+  ASSERT_EQ(id, 0u);
+  const auto grouped =
+      tap.archive().locations_by_flow(tap.index().flow_count());
+  const auto locations = grouped.of(*id);
+  const auto retained = retained_of(tap.archive(), key);
+  ASSERT_FALSE(retained.empty());
+  ASSERT_LT(retained.size(), 200u);
+  ASSERT_EQ(locations.size(), retained.size());
+  for (std::size_t i = 0; i < locations.size(); ++i) {
+    const auto record = tap.archive().record_at(locations[i]);
+    ASSERT_TRUE(record);
+    EXPECT_EQ(record->frame, retained[i].frame);
+    EXPECT_EQ(record->time.usec, retained[i].time.usec);
+  }
+  const auto extracted = tap.extract_flow(*flow);
+  ASSERT_EQ(extracted.size(), retained.size());
+  for (std::size_t i = 0; i < extracted.size(); ++i)
+    EXPECT_EQ(extracted[i].frame, retained[i].frame);
+  // The FlowDB row built from the tap carries the same locations.
+  flowdb::Writer writer;
+  writer.add_tap(tap);
+  const auto reader = flowdb::Reader::parse(writer.encode());
+  ASSERT_TRUE(reader);
+  EXPECT_EQ(reader->row(0).locations,
+            std::vector<trace::Location>(locations.begin(), locations.end()));
+  EXPECT_EQ(reader->row(0).packets, 200u);
+}
+
+TEST(TraceTap, LoadDropsLocationsIntoEvictedSegments) {
+  const std::string dir = "trace_test_evicted_locations";
+  const std::string resaved = dir + "_resaved";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::remove_all(resaved, ec);
+
+  trace::ArchiveConfig config;
+  config.segment_bytes = 512;
+  config.max_segments = 2;
+  trace::TraceTap tap("ev", config, nullptr);
+  const pkt::FlowKey key{pkt::FlowProto::kTcp,
+                         {Ipv4Addr(10, 2, 0, 9), 4000},
+                         {Ipv4Addr(203, 0, 113, 5), 25}};
+  for (int i = 0; i < 60; ++i)
+    tap.record(util::TimePoint{i},
+               tcp_frame(key.src.addr, key.dst.addr, 4000, 25, 40));
+  ASSERT_GT(tap.archive().evicted_segments(), 0u);
+  ASSERT_TRUE(tap.save(dir));
+  const auto grouped = tap.archive().locations_by_flow(1);
+  const std::vector<trace::Location> live(grouped.of(0).begin(),
+                                          grouped.of(0).end());
+  ASSERT_FALSE(live.empty());
+
+  // Rewrite flows.txt the way a lifetime location list reads: every
+  // packet since segment 0, plus a bogus offset inside a live segment.
+  auto line = read_text(dir + "/flows.txt");
+  auto fields = util::split(line.substr(0, line.find('\n')), '\t');
+  ASSERT_GT(fields.size(), 13u);
+  std::string stale = "0:24,0:120,1:24,";
+  stale += std::to_string(live.back().segment) + ":" +
+           std::to_string(live.back().offset + 1) + ",";
+  fields[13] = stale + fields[13];
+  std::string edited;
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    edited += (i ? "\t" : "") + fields[i];
+  write_text(dir + "/flows.txt", edited + "\n");
+
+  auto loaded = trace::load_trace(dir);
+  ASSERT_TRUE(loaded.has_value());
+  const auto* flow = loaded->index().find(key, 0);
+  ASSERT_NE(flow, nullptr);
+  EXPECT_EQ(flow->packets, 60u);
+  const auto extracted = loaded->extract_flow(*flow);
+  const auto retained = retained_of(loaded->archive(), key);
+  ASSERT_EQ(extracted.size(), retained.size());
+  ASSERT_EQ(extracted.size(), loaded->archive().retained_packets());
+  for (std::size_t i = 0; i < extracted.size(); ++i)
+    EXPECT_EQ(extracted[i].frame, retained[i].frame);
+
+  // Re-saving writes only the retained locations.
+  ASSERT_TRUE(loaded->save(resaved));
+  const auto resaved_text = read_text(resaved + "/flows.txt");
+  const auto parsed = trace::parse_flow_record_line(
+      resaved_text.substr(0, resaved_text.find('\n')));
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(parsed->locations, live);
+  EXPECT_EQ(parsed->record.packets, 60u);
+
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::remove_all(resaved, ec);
+}
+
+TEST(TraceTap, LoadKeepsBothDirectionRowsAndResolvesToTheFirst) {
+  const std::string dir = "trace_test_both_directions";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+
+  trace::TraceTap tap("bd", {}, nullptr);
+  const pkt::FlowKey key{pkt::FlowProto::kTcp,
+                         {Ipv4Addr(10, 3, 0, 2), 1025},
+                         {Ipv4Addr(8, 8, 4, 4), 80}};
+  tap.record(util::TimePoint{1},
+             tcp_frame(key.src.addr, key.dst.addr, 1025, 80));
+  tap.record(util::TimePoint{2},
+             tcp_frame(key.dst.addr, key.src.addr, 80, 1025));
+  ASSERT_TRUE(tap.save(dir));
+  const auto records = tap.archive().records();
+  ASSERT_EQ(records.size(), 2u);
+  const std::size_t second_offset =
+      pkt::kPcapFileHeaderSize + pkt::kPcapRecordHeaderSize +
+      records[0].frame.size();
+
+  // Hand-made index: one flow listed once per direction, each row
+  // claiming one of the archive's two records.
+  trace::FlowRecord forward;
+  forward.key = key;
+  forward.packets = 1;
+  forward.policy_name = "first";
+  trace::FlowRecord reverse = forward;
+  reverse.key = key.reversed();
+  reverse.policy_name = "second";
+  const trace::Location first_loc{0, pkt::kPcapFileHeaderSize};
+  const trace::Location second_loc{0, second_offset};
+  write_text(dir + "/flows.txt",
+             trace::flow_record_line(forward, {&first_loc, 1}) + "\n" +
+                 trace::flow_record_line(reverse, {&second_loc, 1}) + "\n");
+
+  auto loaded = trace::load_trace(dir);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->index().flow_count(), 2u);
+  EXPECT_EQ(loaded->index().flows()[0].policy_name, "first");
+  EXPECT_EQ(loaded->index().flows()[1].policy_name, "second");
+  for (const auto& probe : {key, key.reversed()}) {
+    const auto* found = loaded->index().find(probe, 0);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found, &loaded->index().flows()[0]);
+  }
+  // Each row still extracts the record it claimed.
+  const auto first = loaded->extract_flow(loaded->index().flows()[0]);
+  const auto second = loaded->extract_flow(loaded->index().flows()[1]);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(first[0].frame, records[0].frame);
+  EXPECT_EQ(second[0].frame, records[1].frame);
+
+  std::filesystem::remove_all(dir, ec);
 }
 
 // --- Golden-trace replay regression ---------------------------------------
