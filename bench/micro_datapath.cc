@@ -2,10 +2,10 @@
 // per-packet costs behind §6's implementation — header parse/serialize,
 // checksums, whole-frame decode/re-encode (the gateway's NAT/rewrite
 // path), shim encode/parse, flow-table keying, policy decisions,
-// trigger matching, MD5 hashing, switch forwarding, the telemetry
-// primitives (counter bump, histogram observe, event-bus publish),
-// FlowDB's per-open costs (the footer seal hash, a full segment parse),
-// and one trace-tap capture at growing flow counts.
+// trigger matching, MD5 hashing, one link hop, switch forwarding, the
+// telemetry primitives (counter bump, histogram observe, event-bus
+// publish), FlowDB's per-open costs (the footer seal hash, a full
+// segment parse), and one trace-tap capture at growing flow counts.
 // After the benchmarks it runs a miniature farm and prints the built-in
 // flow-decision latency histogram plus a JSON dump of every metric.
 #include <benchmark/benchmark.h>
@@ -20,6 +20,7 @@
 #include "core/farm.h"
 #include "flowdb/flowdb.h"
 #include "netsim/event_loop.h"
+#include "netsim/port.h"
 #include "netsim/vlan_switch.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -87,6 +88,28 @@ void BM_EventLoopScheduleCancel(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * batch));
 }
 BENCHMARK(BM_EventLoopScheduleCancel);
+
+// One link hop, the loop's most common event: transmit on a connected
+// port pair, then run the loop until the peer's receive side has the
+// frame. The receiver hands the buffer back for the next transmit, so
+// the loop's own per-hop work is what is timed, not the frame's
+// allocation; the 64- and 1514-byte cases should cost the same.
+void BM_PortHop(benchmark::State& state) {
+  sim::EventLoop loop;
+  sim::Port a(loop, "a"), b(loop, "b");
+  sim::Port::connect(a, b, util::microseconds(1));
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> buffer(size, 0x5A);
+  b.set_rx([&buffer](sim::Frame frame) { buffer = std::move(frame.bytes); });
+  for (auto _ : state) {
+    a.transmit(sim::Frame{std::move(buffer)});
+    loop.run_for(util::microseconds(1));
+    benchmark::DoNotOptimize(buffer.data());
+  }
+  if (buffer.size() != size) state.SkipWithError("frame not delivered");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PortHop)->Arg(64)->Arg(1514);
 
 void BM_FrameDecode(benchmark::State& state) {
   auto bytes = sample_tcp_frame(static_cast<std::size_t>(state.range(0)));

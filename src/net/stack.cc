@@ -48,11 +48,15 @@ HostStack::~HostStack() {
   // holds the session, a UDP echo responder capturing itself). For
   // anything still open when the host dies, that cycle would outlive
   // us — clear the handlers so the cycle breaks and the objects free.
+  // A pending retransmit closure can also keep a connection alive past
+  // us; disarm its timer now so the connection's destructor never
+  // reaches this dead stack or its loop.
   for (auto& [key, conn] : connections_) {
     conn->on_connected = nullptr;
     conn->on_data = nullptr;
     conn->on_remote_close = nullptr;
     conn->on_closed = nullptr;
+    conn->cancel_retransmit();
   }
   for (auto& [port, weak] : udp_sockets_)
     if (const auto sock = weak.lock()) sock->on_datagram = nullptr;

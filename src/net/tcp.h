@@ -90,6 +90,11 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// Process one inbound segment addressed to this connection.
   void input(const pkt::TcpSegment& seg);
 
+  /// Disarm the retransmit timer. The owning stack calls this as it
+  /// dies, so a connection kept alive by a pending timer closure never
+  /// reaches the dead stack or its loop from its destructor.
+  void cancel_retransmit();
+
  private:
   static constexpr std::size_t kMss = 1460;
   static constexpr std::size_t kSendWindow = 64 * 1024;
@@ -104,7 +109,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void deliver_in_order();
   void maybe_send_fin();
   void arm_retransmit();
-  void cancel_retransmit();
   void on_retransmit_timeout();
   void enter_closed(bool reset);
 

@@ -4,9 +4,11 @@
 #include <cassert>
 #include <utility>
 
+#include "netsim/port.h"
+
 namespace gq::sim {
 
-EventId EventLoop::schedule_at(util::TimePoint at, std::function<void()> fn) {
+std::uint32_t EventLoop::push_key(util::TimePoint at) {
   if (at < now_) at = now_;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -17,11 +19,27 @@ EventId EventLoop::schedule_at(util::TimePoint at, std::function<void()> fn) {
     slots_.emplace_back();
   }
   slots_[slot].state = SlotState::kLive;
-  const EventId id = make_id(slots_[slot].generation, slot);
-  heap_.push_back(Entry{at, next_seq_++, id, std::move(fn)});
+  heap_.push_back(Key{at, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
-  return id;
+  return slot;
+}
+
+EventId EventLoop::schedule_at(util::TimePoint at, std::function<void()> fn) {
+  const std::uint32_t slot = push_key(at);
+  Slot& s = slots_[slot];
+  s.payload.port = nullptr;
+  s.payload.fn = std::move(fn);
+  return make_id(s.generation, slot);
+}
+
+EventId EventLoop::schedule_frame_at(util::TimePoint at, Port* port,
+                                     Frame frame) {
+  const std::uint32_t slot = push_key(at);
+  Slot& s = slots_[slot];
+  s.payload.port = port;
+  s.payload.frame = std::move(frame);
+  return make_id(s.generation, slot);
 }
 
 void EventLoop::cancel(EventId id) {
@@ -31,44 +49,51 @@ void EventLoop::cancel(EventId id) {
   // issued): both are the documented no-op.
   if (slots_[slot].generation != generation_of(id)) return;
   if (slots_[slot].state != SlotState::kLive) return;
-  // Tombstone in place; the heap entry is purged when it pops, so the
-  // slot table never grows past the high-water mark of in-flight events.
+  // Tombstone in place; the key is purged when it pops, so the slot
+  // table never grows past the high-water mark of in-flight events.
   slots_[slot].state = SlotState::kCancelled;
   --live_;
 }
 
-void EventLoop::release_slot(std::uint32_t slot) {
-  ++slots_[slot].generation;
-  slots_[slot].state = SlotState::kFree;
+EventLoop::Payload EventLoop::retire_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  Payload out;
+  out.port = s.payload.port;
+  if (out.port != nullptr) {
+    out.frame = std::move(s.payload.frame);
+  } else {
+    out.fn = std::exchange(s.payload.fn, nullptr);
+  }
+  ++s.generation;
+  s.state = SlotState::kFree;
   free_slots_.push_back(slot);
-}
-
-EventLoop::Entry EventLoop::pop_entry() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry entry = std::move(heap_.back());
-  heap_.pop_back();
-  return entry;
+  return out;
 }
 
 bool EventLoop::step(util::TimePoint deadline) {
   while (!heap_.empty()) {
     if (heap_.front().at > deadline) return false;
-    Entry entry = pop_entry();
-    const std::uint32_t slot = slot_of(entry.id);
-    const bool cancelled = slots_[slot].state == SlotState::kCancelled;
-    release_slot(slot);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Key key = heap_.back();
+    heap_.pop_back();
+    const bool cancelled = slots_[key.slot].state == SlotState::kCancelled;
+    Payload payload = retire_slot(key.slot);
     if (cancelled) continue;
     // The virtual clock is monotone: schedule_at clamps past timestamps
-    // to now, so no heap entry can sit behind the clock. Assert in debug
-    // builds and clamp defensively in release (NDEBUG) builds — time
-    // travelling backwards would silently corrupt every latency
-    // measurement and retransmission timer downstream.
-    assert(entry.at >= now_ && "EventLoop clock must be monotone");
-    if (entry.at < now_) entry.at = now_;
+    // to now, so no key can sit behind the clock. Assert in debug builds
+    // and clamp defensively in release (NDEBUG) builds — time travelling
+    // backwards would silently corrupt every latency measurement and
+    // retransmission timer downstream.
+    assert(key.at >= now_ && "EventLoop clock must be monotone");
+    if (key.at < now_) key.at = now_;
     --live_;
-    now_ = entry.at;
+    now_ = key.at;
     ++executed_;
-    entry.fn();
+    if (payload.port != nullptr) {
+      payload.port->deliver(std::move(payload.frame));
+    } else {
+      payload.fn();
+    }
     return true;
   }
   return false;
@@ -82,12 +107,14 @@ void EventLoop::run_until(util::TimePoint deadline) {
 
 void EventLoop::drop_pending() {
   // Destroying a pending closure can re-enter cancel() (an object owned
-  // by one closure cancelling its own timers in its destructor), so move
-  // the heap out and retire every slot before any closure dies: a
+  // by one closure cancelling its own timers in its destructor), so take
+  // the keys out and retire every slot before any payload dies: a
   // re-entrant cancel then sees a stale generation and no-ops.
-  std::vector<Entry> doomed;
-  doomed.swap(heap_);
-  for (const Entry& entry : doomed) release_slot(slot_of(entry.id));
+  std::vector<Key> keys;
+  keys.swap(heap_);
+  std::vector<Payload> doomed;
+  doomed.reserve(keys.size());
+  for (const Key& key : keys) doomed.push_back(retire_slot(key.slot));
   live_ = 0;
   doomed.clear();
 }

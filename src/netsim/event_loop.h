@@ -4,6 +4,14 @@
 // experiment with a 30-minute trigger window completes in milliseconds
 // of wall time and replays identically given the same seed.
 //
+// The queue is split in two. A binary min-heap orders 24-byte keys
+// {at, seq, slot} by (at, seq); the payload stays put in a
+// generation-tagged slot. A slot holds one of two arms: a frame
+// delivery (Port* + Frame), which is what almost every event is — one
+// per link hop — or a std::function for timers and everything else. A
+// hop therefore allocates nothing beyond the frame's own buffer, and
+// heap sifts never move a closure.
+//
 // Threading contract: an EventLoop is single-threaded. Under sharded
 // execution exactly one worker thread runs a given loop during an
 // epoch, and the coordinator may schedule cross-shard deliveries onto
@@ -19,6 +27,13 @@
 
 namespace gq::sim {
 
+class Port;
+
+/// One Ethernet frame on the wire.
+struct Frame {
+  std::vector<std::uint8_t> bytes;
+};
+
 /// Handle for cancelling a scheduled event. Encodes (generation, slot):
 /// slots are recycled, generations make stale handles harmless.
 using EventId = std::uint64_t;
@@ -26,6 +41,9 @@ using EventId = std::uint64_t;
 class EventLoop {
  public:
   EventLoop() = default;
+  /// Drops every pending event first (see drop_pending), so a payload
+  /// whose destructor re-enters cancel() still finds the slot table.
+  ~EventLoop() { drop_pending(); }
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -40,8 +58,14 @@ class EventLoop {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
+  /// Schedule the arrival of `frame` at `port` at absolute time `at`
+  /// (clamped to now); the port's receive side runs then. Ordered with
+  /// closures by the same (at, FIFO) rule. Port uses it for every hop.
+  EventId schedule_frame_at(util::TimePoint at, Port* port, Frame frame);
+
   /// Cancel a pending event; cancelling an already-run or unknown id is a
   /// harmless no-op (and is not recorded, so `pending()` stays exact).
+  /// The payload itself is destroyed when its key pops, as if it had run.
   void cancel(EventId id);
 
   /// Run events until the queue empties or the clock would pass
@@ -70,30 +94,36 @@ class EventLoop {
   [[nodiscard]] std::size_t pending() const { return live_; }
 
  private:
-  struct Entry {
+  /// What the heap sifts: 24 bytes, ordered by (at, seq).
+  struct Key {
     util::TimePoint at;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps.
-    EventId id;
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
 
-  // Slot state for the scheduled-event bookkeeping. The hot path
-  // (schedule, cancel, pop) pays two O(1) array accesses per event where
-  // it used to pay hash probes into a live-set and a cancelled-set — the
-  // event loop is the hottest structure in the whole system, so those
-  // probes were measurable (see BM_EventLoopScheduleCancel).
+  /// An event's payload. A non-null `port` selects the frame-delivery
+  /// arm (`frame` goes to `port`); otherwise `fn` runs.
+  struct Payload {
+    Port* port = nullptr;
+    Frame frame;
+    std::function<void()> fn;
+  };
+
+  // Slot state for the scheduled-event bookkeeping: schedule, cancel and
+  // pop each pay O(1) array accesses (see BM_EventLoopScheduleCancel).
   enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
   struct Slot {
     // Generations start at 1 so EventId 0 is never issued: callers use 0
     // as a "no event" sentinel and cancel(0) must stay a no-op.
     std::uint32_t generation = 1;
     SlotState state = SlotState::kFree;
+    Payload payload;  // Empty unless the slot is live or cancelled.
   };
 
   static constexpr std::uint32_t slot_of(EventId id) {
@@ -107,23 +137,23 @@ class EventLoop {
     return (static_cast<EventId>(generation) << 32) | slot;
   }
 
+  /// Claim a free slot and push its key; the caller fills the payload.
+  std::uint32_t push_key(util::TimePoint at);
   bool step(util::TimePoint deadline);
-  /// Pop the top heap entry by move (std::priority_queue::top is const
-  /// and would copy the closure — including any captured frame buffer).
-  Entry pop_entry();
-  /// Return a popped entry's slot to the free list, bumping the
-  /// generation so any still-held EventId for it goes stale.
-  void release_slot(std::uint32_t slot);
+  /// Move a slot's payload out and return the slot to the free list,
+  /// bumping the generation so any still-held EventId for it goes stale.
+  /// The payload runs or dies only after this: running may schedule
+  /// (growing slots_), dying may re-enter cancel().
+  Payload retire_slot(std::uint32_t slot);
 
   util::TimePoint now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;  // Scheduled and not yet run or cancelled.
-  // Min-heap over `heap_` managed with push_heap/pop_heap so entries can
-  // be moved out instead of copied.
-  std::vector<Entry> heap_;
-  // Generation-tagged slots replacing the former live/cancelled hash
-  // sets; one entry per id ever in flight, recycled through free_slots_.
+  // Min-heap of keys managed with push_heap/pop_heap.
+  std::vector<Key> heap_;
+  // Grows to the high-water mark of events in flight at once; retired
+  // slots are recycled through free_slots_.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };

@@ -45,17 +45,8 @@ void Port::bind_fault_metrics(obs::MetricsRegistry& metrics,
   reordered_ctr_ = &metrics.counter(prefix + "reordered");
 }
 
-void Port::schedule_delivery(Frame frame, util::Duration delay) {
-  Port* peer = peer_;
-  loop_.schedule_in(delay, [peer, frame = std::move(frame)]() mutable {
-    peer->deliver(std::move(frame));
-  });
-}
-
 void Port::schedule_bridged(util::TimePoint at, Frame frame) {
-  loop_.schedule_at(at, [this, frame = std::move(frame)]() mutable {
-    deliver(std::move(frame));
-  });
+  loop_.schedule_frame_at(at, this, std::move(frame));
 }
 
 void Port::dispatch(Frame frame, util::Duration delay) {
@@ -63,7 +54,7 @@ void Port::dispatch(Frame frame, util::Duration delay) {
     bridge_(delay, std::move(frame));
     return;
   }
-  schedule_delivery(std::move(frame), delay);
+  loop_.schedule_frame_at(loop_.now() + delay, peer_, std::move(frame));
 }
 
 void Port::transmit(Frame frame) {

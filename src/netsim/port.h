@@ -11,7 +11,6 @@
 #include <functional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "netsim/event_loop.h"
 #include "netsim/fault.h"
@@ -23,11 +22,6 @@ class MetricsRegistry;
 }  // namespace gq::obs
 
 namespace gq::sim {
-
-/// One Ethernet frame on the wire.
-struct Frame {
-  std::vector<std::uint8_t> bytes;
-};
 
 /// One end of a point-to-point link. Owned by the device it belongs to
 /// (switch, host NIC, gateway interface); devices must outlive the loop's
@@ -107,12 +101,14 @@ class Port {
   [[nodiscard]] std::uint64_t dropped_frames() const { return dropped_; }
 
  private:
+  // The loop hands each scheduled frame arrival to deliver().
+  friend class EventLoop;
+
   void deliver(Frame frame);
   /// Route a frame with its final delay: onto this loop toward the peer
   /// for an in-domain link, or into the bridge sink for a cross-domain
   /// one.
   void dispatch(Frame frame, util::Duration delay);
-  void schedule_delivery(Frame frame, util::Duration delay);
 
   EventLoop& loop_;
   std::string name_;

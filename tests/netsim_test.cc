@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "netsim/event_loop.h"
@@ -155,6 +156,105 @@ TEST(EventLoop, DropPendingDestroysWithoutRunning) {
   EXPECT_EQ(loop.pending(), 0u);
   loop.run_all();
   EXPECT_EQ(ran, 0);
+}
+
+// Frame deliveries and closures share one (at, FIFO) order: the arm a
+// slot holds never changes when it runs.
+TEST(EventLoop, FramesAndClosuresRunInScheduleOrder) {
+  EventLoop loop;
+  Port a(loop, "a"), b(loop, "b");
+  Port::connect(a, b, util::microseconds(10));
+  std::vector<int> order;
+  b.set_rx([&](Frame f) { order.push_back(f.bytes.at(0)); });
+  const util::TimePoint at{10};
+  loop.schedule_at(at, [&] { order.push_back(100); });
+  a.transmit(Frame{{1}});  // Arrives at t=10.
+  loop.schedule_at(at, [&] { order.push_back(101); });
+  loop.schedule_frame_at(at, &b, Frame{{2}});
+  a.transmit(Frame{{3}});
+  loop.schedule_at(at, [&] { order.push_back(102); });
+  loop.run_all();
+  EXPECT_EQ(order, (std::vector<int>{100, 1, 101, 2, 3, 102}));
+  EXPECT_EQ(b.rx_frames(), 3u);
+  EXPECT_EQ(loop.events_executed(), 6u);
+}
+
+TEST(EventLoop, DropPendingDiscardsFrames) {
+  EventLoop loop;
+  Port a(loop, "a"), b(loop, "b");
+  Port::connect(a, b, util::microseconds(10));
+  int received = 0;
+  b.set_rx([&](Frame) { ++received; });
+  a.transmit(Frame{{1}});
+  a.transmit(Frame{{2}});
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.drop_pending();
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.run_all();
+  EXPECT_EQ(b.rx_frames(), 0u);
+  EXPECT_EQ(received, 0);
+  // The retired slots are reused: the link still works afterwards.
+  a.transmit(Frame{{3}});
+  loop.run_all();
+  EXPECT_EQ(b.rx_frames(), 1u);
+}
+
+TEST(EventLoop, PendingExactAcrossBothArms) {
+  EventLoop loop;
+  Port a(loop, "a"), b(loop, "b");
+  Port::connect(a, b, util::microseconds(10));
+  int ran = 0;
+  const EventId fn1 = loop.schedule_in(util::microseconds(5), [&] { ++ran; });
+  loop.schedule_in(util::microseconds(15), [&] { ++ran; });
+  const EventId frame1 =
+      loop.schedule_frame_at(util::TimePoint{5}, &b, Frame{{1}});
+  a.transmit(Frame{{2}});
+  EXPECT_EQ(loop.pending(), 4u);
+  loop.cancel(frame1);
+  EXPECT_EQ(loop.pending(), 3u);
+  loop.cancel(frame1);  // Already cancelled: no-op.
+  loop.cancel(fn1);
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.run_until(util::TimePoint{10});
+  EXPECT_EQ(loop.pending(), 1u);  // The closure at t=15 is left.
+  EXPECT_EQ(b.rx_frames(), 1u);   // The cancelled frame never arrived.
+  loop.cancel(frame1);            // Stale after its key popped: no-op.
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_all();
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(ran, 1);
+}
+
+// A pending closure can own an object whose destructor cancels another
+// event (a TCP connection cancelling its retransmit timer). Destroying
+// the loop must go through drop_pending: every slot is retired before
+// any payload dies, so the dying payload finds an intact, empty loop and
+// its cancel() is a no-op. (Before payloads lived in the slot table, the
+// heap outlived the slot table and this cancel was a heap-use-after-free
+// under the asan lane.)
+TEST(EventLoop, DestructionToleratesReentrantCancel) {
+  struct CancelOnDestroy {
+    CancelOnDestroy(EventLoop& loop, EventId victim,
+                    std::vector<std::size_t>& pending_seen)
+        : loop(loop), victim(victim), pending_seen(pending_seen) {}
+    ~CancelOnDestroy() {
+      loop.cancel(victim);
+      pending_seen.push_back(loop.pending());
+    }
+    EventLoop& loop;
+    EventId victim;
+    std::vector<std::size_t>& pending_seen;
+  };
+  std::vector<std::size_t> pending_seen;
+  {
+    EventLoop loop;
+    const EventId victim = loop.schedule_in(util::microseconds(20), [] {});
+    auto owner = std::make_shared<CancelOnDestroy>(loop, victim, pending_seen);
+    loop.schedule_in(util::microseconds(10), [owner] {});
+    owner.reset();
+    EXPECT_TRUE(pending_seen.empty());
+  }
+  EXPECT_EQ(pending_seen, (std::vector<std::size_t>{0}));
 }
 
 TEST(Port, DeliversAfterLatency) {

@@ -205,6 +205,24 @@ TEST_F(TcpFixture, EphemeralPortsDistinct) {
   EXPECT_NE(c1->local().port, c2->local().port);
 }
 
+// A pending retransmit closure owns its connection, so the connection
+// can outlive its stack. The dying stack disarms every timer it still
+// tracks; the connection's destructor then never reaches the freed
+// stack (a heap-use-after-free under the asan lane).
+TEST(HostStackTeardown, DisarmsRetransmitTimersOfTrackedConnections) {
+  sim::EventLoop loop;
+  auto host =
+      std::make_unique<HostStack>(loop, "h", util::MacAddr::local(1), 1);
+  host->configure({Ipv4Addr(10, 0, 0, 1), Ipv4Net(Ipv4Addr(10, 0, 0, 0), 24),
+                   Ipv4Addr(10, 0, 0, 254), {}});
+  auto conn = host->connect({Ipv4Addr(10, 0, 0, 2), 80});
+  conn.reset();  // The armed retransmit closure keeps it alive.
+  const std::size_t pending = loop.pending();
+  host.reset();
+  EXPECT_EQ(loop.pending(), pending - 1);
+  loop.drop_pending();  // The connection dies here.
+}
+
 // allocate_port() keeps a use count per local port instead of scanning
 // every open connection per candidate. It must hand out exactly the
 // ports the scan did: the next port, in wrap-around order, that no
