@@ -1,11 +1,12 @@
 // Microbenchmarks of GQ's data-path primitives (google-benchmark): the
 // per-packet costs behind §6's implementation — header parse/serialize,
-// checksums, whole-frame decode/re-encode (the gateway's NAT/rewrite
-// path), shim encode/parse, flow-table keying, policy decisions,
-// trigger matching, MD5 hashing, one link hop, switch forwarding, the
-// telemetry primitives (counter bump, histogram observe, event-bus
-// publish), FlowDB's per-open costs (the footer seal hash, a full
-// segment parse), and one trace-tap capture at growing flow counts.
+// checksums, one host-stack TCP segment encode, whole-frame
+// decode/re-encode (the gateway's NAT/rewrite path), shim encode/parse,
+// flow-table keying, policy decisions, trigger matching, MD5 hashing,
+// one link hop, switch forwarding, the telemetry primitives (counter
+// bump, histogram observe, event-bus publish), FlowDB's per-open costs
+// (the footer seal hash, a full segment parse), and one trace-tap
+// capture at growing flow counts.
 // After the benchmarks it runs a miniature farm and prints the built-in
 // flow-decision latency histogram plus a JSON dump of every metric.
 #include <benchmark/benchmark.h>
@@ -116,6 +117,32 @@ void BM_FrameDecode(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(pkt::decode_frame(bytes));
 }
 BENCHMARK(BM_FrameDecode)->Arg(0)->Arg(512)->Arg(1460);
+
+// What TcpConnection::emit costs per segment: the Ethernet, IPv4 and
+// TCP headers and the payload written once into one buffer (with tag
+// headroom), each checksum computed once, the payload a span into the
+// sender's buffer.
+void BM_TcpSegmentEmit(benchmark::State& state) {
+  const std::vector<std::uint8_t> send_buf(
+      static_cast<std::size_t>(state.range(0)), 0x41);
+  const pkt::EthHeader eth{util::MacAddr::local(1), util::MacAddr::local(2),
+                           std::nullopt, pkt::kEtherTypeIpv4};
+  const pkt::Ipv4Header ip{Ipv4Addr(10, 0, 0, 23),
+                           Ipv4Addr(192, 150, 187, 12)};
+  std::uint32_t seq = 0x1000;
+  for (auto _ : state) {
+    const pkt::TcpSegmentView seg{.src_port = 1234,
+                                  .dst_port = 80,
+                                  .seq = seq++,
+                                  .ack = 0x2000,
+                                  .flags = pkt::kTcpAck | pkt::kTcpPsh,
+                                  .payload = send_buf};
+    benchmark::DoNotOptimize(pkt::encode_tcp_frame(eth, ip, seg));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_TcpSegmentEmit)->Arg(0)->Arg(512)->Arg(1460);
 
 void BM_FrameRewriteReencode(benchmark::State& state) {
   // The gateway's slow path: decode, NAT-rewrite, re-encode.

@@ -87,7 +87,7 @@ void ArpProxy::send_request(util::Ipv4Addr target) {
   eth.src = my_mac_;
   eth.ethertype = pkt::kEtherTypeArp;
   emit_(pkt::serialize_eth(eth, pkt::serialize_arp(request)));
-  loop_.schedule_in(kRetryDelay, [this, target] {
+  retries_.schedule_in(kRetryDelay, [this, target] {
     if (pending_.count(target)) send_request(target);
   });
 }

@@ -73,6 +73,8 @@ class ArpProxy {
   std::vector<util::Ipv4Addr> owned_;
   std::map<util::Ipv4Addr, util::MacAddr> cache_;
   std::map<util::Ipv4Addr, Pending> pending_;
+  /// Request retry timers; they capture `this`, so they die with it.
+  sim::ScopedTimers retries_{loop_};
 };
 
 }  // namespace gq::gw

@@ -164,12 +164,14 @@ void Gateway::emit_to_inmate(std::uint16_t vlan, util::MacAddr dst_mac,
   frame.eth.src = inmate_leg_mac_;
   frame.eth.dst = dst_mac;
   frame.eth.vlan.reset();
-  // Record the inmate-side trace untagged (internal perspective, §5.6).
+  auto bytes = frame.encode();
+  // Record the inmate-side trace untagged (internal perspective, §5.6),
+  // then tag the same buffer in place for the trunk.
   if (auto* subfarm = subfarm_for_vlan(vlan)) {
-    subfarm->trace().record(loop_.now(), frame.encode(), vlan);
+    subfarm->trace().record(loop_.now(), bytes, vlan);
   }
-  frame.eth.vlan = vlan;
-  inmate_port_.transmit(sim::Frame{frame.encode()});
+  pkt::insert_vlan_tag(bytes, vlan);
+  inmate_port_.transmit(sim::Frame{std::move(bytes)});
 }
 
 void Gateway::emit_to_mgmt(pkt::DecodedFrame frame) {
@@ -318,9 +320,10 @@ void Gateway::on_inmate_frame(sim::Frame raw) {
       out.ip->src = subfarm->inmates().gateway_internal();
       out.ip->dst = util::Ipv4Addr(255, 255, 255, 255);
       out.udp = pkt::UdpDatagram{67, 68, reply->encode()};
-      subfarm->trace().record(loop_.now(), out.encode(), vlan);
-      out.eth.vlan = vlan;
-      inmate_port_.transmit(sim::Frame{out.encode()});
+      auto bytes = out.encode();
+      subfarm->trace().record(loop_.now(), bytes, vlan);
+      pkt::insert_vlan_tag(bytes, vlan);
+      inmate_port_.transmit(sim::Frame{std::move(bytes)});
     }
     return;
   }

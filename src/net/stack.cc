@@ -1,5 +1,6 @@
 #include "net/stack.h"
 
+#include "packet/frame_view.h"
 #include "packet/headers.h"
 #include "util/log.h"
 
@@ -13,21 +14,13 @@ constexpr util::Duration kArpRetryDelay = util::milliseconds(500);
 
 void UdpSocket::send_to(util::Endpoint dst,
                         std::span<const std::uint8_t> payload) {
-  pkt::UdpDatagram dgram;
-  dgram.src_port = port_;
-  dgram.dst_port = dst.port;
-  dgram.payload.assign(payload.begin(), payload.end());
-  stack_.send_udp(stack_.addr(), dst.addr, dgram, /*broadcast=*/false);
+  stack_.send_udp(port_, dst, payload, /*broadcast=*/false);
 }
 
 void UdpSocket::send_broadcast(std::uint16_t dst_port,
                                std::span<const std::uint8_t> payload) {
-  pkt::UdpDatagram dgram;
-  dgram.src_port = port_;
-  dgram.dst_port = dst_port;
-  dgram.payload.assign(payload.begin(), payload.end());
-  stack_.send_udp(stack_.addr(), util::Ipv4Addr(255, 255, 255, 255), dgram,
-                  /*broadcast=*/true);
+  stack_.send_udp(port_, {util::Ipv4Addr(255, 255, 255, 255), dst_port},
+                  payload, /*broadcast=*/true);
 }
 
 void UdpSocket::close() { stack_.remove_udp(port_); }
@@ -130,55 +123,66 @@ void HostStack::remove_connection(const TcpConnection& conn) {
 
 void HostStack::remove_udp(std::uint16_t port) { udp_sockets_.erase(port); }
 
-void HostStack::send_tcp(util::Ipv4Addr dst, const pkt::TcpSegment& seg) {
-  send_ipv4(dst, pkt::kProtoTcp, pkt::serialize_tcp(addr(), dst, seg));
+pkt::EthHeader HostStack::ipv4_eth(util::MacAddr dst) const {
+  return {.dst = dst,
+          .src = mac_,
+          .vlan = std::nullopt,
+          .ethertype = pkt::kEtherTypeIpv4};
 }
 
-void HostStack::send_udp(util::Ipv4Addr src, util::Ipv4Addr dst,
-                         const pkt::UdpDatagram& dgram, bool broadcast) {
+void HostStack::send_tcp(util::Ipv4Addr dst, const pkt::TcpSegmentView& seg) {
+  if (!config_) {
+    GQ_DEBUG(kLog, "%s: dropping TCP segment, no configuration",
+             name_.c_str());
+    return;
+  }
+  route_frame(dst, pkt::encode_tcp_frame(ipv4_eth({}),
+                                         {config_->addr, dst}, seg));
+}
+
+void HostStack::send_udp(std::uint16_t src_port, util::Endpoint dst,
+                         std::span<const std::uint8_t> payload,
+                         bool broadcast) {
+  if (!broadcast && !config_) {
+    GQ_DEBUG(kLog, "%s: dropping UDP datagram, no configuration",
+             name_.c_str());
+    return;
+  }
+  // The source is 0.0.0.0 while unconfigured (DHCP).
+  auto frame =
+      pkt::encode_udp_frame(ipv4_eth(util::MacAddr::broadcast()),
+                            {addr(), dst.addr}, src_port, dst.port, payload);
   if (broadcast) {
     // Link-local broadcast bypasses routing and ARP entirely.
-    pkt::Ipv4Packet ip;
-    ip.src = src;
-    ip.dst = dst;
-    ip.protocol = pkt::kProtoUdp;
-    ip.payload = pkt::serialize_udp(src, dst, dgram);
-    transmit_to_mac(util::MacAddr::broadcast(), pkt::kEtherTypeIpv4,
-                    pkt::serialize_ipv4(ip));
+    nic_.transmit(sim::Frame{std::move(frame)});
     ++ip_tx_;
     return;
   }
-  send_ipv4(dst, pkt::kProtoUdp, pkt::serialize_udp(src, dst, dgram));
+  route_frame(dst.addr, std::move(frame));
 }
 
-void HostStack::send_ipv4(util::Ipv4Addr dst, std::uint8_t proto,
-                          std::vector<std::uint8_t> payload,
-                          std::optional<util::Ipv4Addr> src_override) {
-  if (!config_) {
-    GQ_DEBUG(kLog, "%s: dropping IP packet, no configuration", name_.c_str());
-    return;
-  }
-  pkt::Ipv4Packet ip;
-  ip.src = src_override.value_or(config_->addr);
-  ip.dst = dst;
-  ip.protocol = proto;
-  ip.payload = std::move(payload);
-  auto packet = pkt::serialize_ipv4(ip);
+void HostStack::route_frame(util::Ipv4Addr dst,
+                            std::vector<std::uint8_t> frame) {
   ++ip_tx_;
-
   const util::Ipv4Addr next_hop =
       config_->subnet.contains(dst) ? dst : config_->gateway;
   if (auto it = arp_cache_.find(next_hop); it != arp_cache_.end()) {
-    transmit_to_mac(it->second, pkt::kEtherTypeIpv4, std::move(packet));
+    transmit_to(it->second, std::move(frame));
     return;
   }
-  arp_resolve(next_hop, std::move(packet));
+  arp_resolve(next_hop, std::move(frame));
+}
+
+void HostStack::transmit_to(util::MacAddr dst_mac,
+                            std::vector<std::uint8_t> frame) {
+  pkt::write_eth_dst(frame, dst_mac);
+  nic_.transmit(sim::Frame{std::move(frame)});
 }
 
 void HostStack::arp_resolve(util::Ipv4Addr next_hop,
-                            std::vector<std::uint8_t> packet) {
+                            std::vector<std::uint8_t> frame) {
   auto& pending = arp_pending_[next_hop];
-  pending.queue.push_back(std::move(packet));
+  pending.queue.push_back(std::move(frame));
   if (pending.queue.size() > 1) return;  // Request already outstanding.
   pending.attempts = 0;
   send_arp_request(next_hop);
@@ -198,30 +202,47 @@ void HostStack::send_arp_request(util::Ipv4Addr target) {
   arp.sender_mac = mac_;
   arp.sender_ip = addr();
   arp.target_ip = target;
-  transmit_to_mac(util::MacAddr::broadcast(), pkt::kEtherTypeArp,
-                  pkt::serialize_arp(arp));
-  loop_.schedule_in(kArpRetryDelay, [this, target] {
+  nic_.transmit(sim::Frame{pkt::serialize_eth(
+      {.dst = util::MacAddr::broadcast(),
+       .src = mac_,
+       .vlan = std::nullopt,
+       .ethertype = pkt::kEtherTypeArp},
+      pkt::serialize_arp(arp))});
+  // The retry stays armed after a reply flushes the entry and then finds
+  // no entry (or a newer one for the same target); the stack cancels
+  // whatever is still armed when it dies.
+  arp_retries_.schedule_in(kArpRetryDelay, [this, target] {
     if (arp_pending_.count(target)) send_arp_request(target);
   });
 }
 
-void HostStack::transmit_to_mac(util::MacAddr dst_mac, std::uint16_t ethertype,
-                                std::vector<std::uint8_t> payload) {
-  pkt::EthHeader eth;
-  eth.dst = dst_mac;
-  eth.src = mac_;
-  eth.ethertype = ethertype;
-  nic_.transmit(sim::Frame{pkt::serialize_eth(eth, payload)});
-}
-
 void HostStack::handle_frame(sim::Frame frame) {
+  // Canonical TCP and UDP frames, checksums verified, are read in place.
+  if (const auto view =
+          pkt::ConstFrameView::parse(frame.bytes, pkt::ViewVerify::kFull)) {
+    if (!accept_ipv4(view->ip_dst())) return;
+    if (view->is_tcp()) {
+      handle_tcp_segment(view->ip_src(), {.src_port = view->src_port(),
+                                          .dst_port = view->dst_port(),
+                                          .seq = view->tcp_seq(),
+                                          .ack = view->tcp_ack(),
+                                          .flags = view->tcp_flags(),
+                                          .window = view->tcp_window(),
+                                          .payload = view->payload()});
+    } else {
+      deliver_udp({view->ip_src(), view->src_port()}, view->dst_port(),
+                  view->payload());
+    }
+    return;
+  }
+  // ARP, ICMP and everything the view rejects.
   auto decoded = pkt::decode_frame(frame.bytes);
   if (!decoded) return;
   if (decoded->arp) {
     handle_arp(*decoded->arp);
     return;
   }
-  if (decoded->ip) handle_ipv4(*decoded);
+  if (decoded->ip) handle_decoded_ipv4(*decoded);
 }
 
 void HostStack::handle_arp(const pkt::ArpMessage& arp) {
@@ -230,12 +251,11 @@ void HostStack::handle_arp(const pkt::ArpMessage& arp) {
   if (!arp.sender_ip.is_unspecified())
     arp_cache_[arp.sender_ip] = arp.sender_mac;
 
-  // Flush any packets that were waiting on this resolution.
+  // Flush any frames that were waiting on this resolution.
   if (auto it = arp_pending_.find(arp.sender_ip); it != arp_pending_.end()) {
     auto queue = std::move(it->second.queue);
     arp_pending_.erase(it);
-    for (auto& packet : queue)
-      transmit_to_mac(arp.sender_mac, pkt::kEtherTypeIpv4, std::move(packet));
+    for (auto& frame : queue) transmit_to(arp.sender_mac, std::move(frame));
   }
 
   if (arp.op == pkt::ArpMessage::Op::kRequest &&
@@ -254,38 +274,50 @@ void HostStack::handle_arp(const pkt::ArpMessage& arp) {
   }
 }
 
-void HostStack::handle_ipv4(const pkt::DecodedFrame& frame) {
-  const auto& ip = *frame.ip;
+bool HostStack::accept_ipv4(util::Ipv4Addr dst) {
   const bool to_me =
-      config_ && (ip.dst == config_->addr || ip.dst.is_broadcast());
-  const bool broadcast_while_unconfigured =
-      !config_ && ip.dst.is_broadcast();
-  if (!to_me && !broadcast_while_unconfigured) return;
+      config_ && (dst == config_->addr || dst.is_broadcast());
+  const bool broadcast_while_unconfigured = !config_ && dst.is_broadcast();
+  if (!to_me && !broadcast_while_unconfigured) return false;
   ++ip_rx_;
+  return true;
+}
 
+void HostStack::handle_decoded_ipv4(const pkt::DecodedFrame& frame) {
+  const auto& ip = *frame.ip;
+  if (!accept_ipv4(ip.dst)) return;
   if (frame.tcp) {
-    handle_tcp_segment(ip.src, *frame.tcp);
+    handle_tcp_segment(ip.src, pkt::TcpSegmentView::of(*frame.tcp));
   } else if (frame.udp) {
-    if (auto it = udp_sockets_.find(frame.udp->dst_port);
-        it != udp_sockets_.end()) {
-      if (auto sock = it->second.lock()) {
-        if (sock->on_datagram)
-          sock->on_datagram(util::Endpoint{ip.src, frame.udp->src_port},
-                            frame.udp->payload);
-      } else {
-        udp_sockets_.erase(it);
-      }
-    }
+    deliver_udp({ip.src, frame.udp->src_port}, frame.udp->dst_port,
+                frame.udp->payload);
   } else if (frame.icmp && frame.icmp->type == 8 && config_) {
     // Echo request: reply in kind.
-    pkt::IcmpMessage reply = *frame.icmp;
-    reply.type = 0;
-    send_ipv4(ip.src, pkt::kProtoIcmp, pkt::serialize_icmp(reply));
+    pkt::DecodedFrame reply;
+    reply.eth = ipv4_eth({});
+    reply.ip = pkt::Ipv4Packet{};
+    reply.ip->src = config_->addr;
+    reply.ip->dst = ip.src;
+    reply.icmp = *frame.icmp;
+    reply.icmp->type = 0;
+    route_frame(ip.src, reply.encode());
+  }
+}
+
+void HostStack::deliver_udp(util::Endpoint from, std::uint16_t dst_port,
+                            std::span<const std::uint8_t> payload) {
+  auto it = udp_sockets_.find(dst_port);
+  if (it == udp_sockets_.end()) return;
+  if (auto sock = it->second.lock()) {
+    if (sock->on_datagram)
+      sock->on_datagram(from, {payload.begin(), payload.end()});
+  } else {
+    udp_sockets_.erase(it);
   }
 }
 
 void HostStack::handle_tcp_segment(util::Ipv4Addr src,
-                                   const pkt::TcpSegment& seg) {
+                                   const pkt::TcpSegmentView& seg) {
   const util::Endpoint remote{src, seg.src_port};
   if (auto it = connections_.find({seg.dst_port, remote});
       it != connections_.end()) {
@@ -312,14 +344,13 @@ void HostStack::handle_tcp_segment(util::Ipv4Addr src,
   }
   if (!seg.rst()) {
     // No listener / unknown connection: refuse.
-    pkt::TcpSegment rst;
-    rst.src_port = seg.dst_port;
-    rst.dst_port = seg.src_port;
-    rst.flags = pkt::kTcpRst | pkt::kTcpAck;
-    rst.seq = seg.has_ack() ? seg.ack : 0;
-    rst.ack = seg.seq + (seg.syn() ? 1 : 0) +
-              static_cast<std::uint32_t>(seg.payload.size());
-    send_tcp(src, rst);
+    send_tcp(src, {.src_port = seg.dst_port,
+                   .dst_port = seg.src_port,
+                   .seq = seg.has_ack() ? seg.ack : 0,
+                   .ack = seg.seq + (seg.syn() ? 1 : 0) +
+                          static_cast<std::uint32_t>(seg.payload.size()),
+                   .flags = pkt::kTcpRst | pkt::kTcpAck,
+                   .payload = {}});
   }
 }
 

@@ -4,6 +4,16 @@
 // ports. Inmates, sink servers, containment servers, infrastructure
 // services, and external Internet hosts are all HostStacks; only the GQ
 // gateway itself works below this layer, on raw frames.
+//
+// TCP and UDP move on one buffer each way. A received canonical frame
+// is read in place through pkt::ConstFrameView (IPv4 and L4 checksums
+// verified), and a TCP payload reaches its connection as a span into
+// that frame; ARP, ICMP and frames the view rejects (IP options,
+// trailing padding, bad checksums) take pkt::decode_frame. An outgoing
+// segment or datagram is encoded once, headers and payload, into a
+// frame sized with 802.1Q headroom (pkt::encode_tcp_frame); a frame
+// waiting on ARP is queued whole and gets its destination MAC when the
+// reply arrives.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -116,9 +127,9 @@ class HostStack {
 
   // --- Internal interfaces used by TcpConnection / UdpSocket ----------
 
-  void send_tcp(util::Ipv4Addr dst, const pkt::TcpSegment& seg);
-  void send_udp(util::Ipv4Addr src, util::Ipv4Addr dst,
-                const pkt::UdpDatagram& dgram, bool broadcast);
+  void send_tcp(util::Ipv4Addr dst, const pkt::TcpSegmentView& seg);
+  void send_udp(std::uint16_t src_port, util::Endpoint dst,
+                std::span<const std::uint8_t> payload, bool broadcast);
   void remove_connection(const TcpConnection& conn);
   void remove_udp(std::uint16_t port);
   std::uint16_t allocate_port();
@@ -127,14 +138,19 @@ class HostStack {
  private:
   void handle_frame(sim::Frame frame);
   void handle_arp(const pkt::ArpMessage& arp);
-  void handle_ipv4(const pkt::DecodedFrame& frame);
-  void handle_tcp_segment(util::Ipv4Addr src, const pkt::TcpSegment& seg);
-  void send_ipv4(util::Ipv4Addr dst, std::uint8_t proto,
-                 std::vector<std::uint8_t> payload,
-                 std::optional<util::Ipv4Addr> src_override = std::nullopt);
-  void transmit_to_mac(util::MacAddr dst_mac, std::uint16_t ethertype,
-                       std::vector<std::uint8_t> payload);
-  void arp_resolve(util::Ipv4Addr next_hop, std::vector<std::uint8_t> packet);
+  /// True (and counted in ip_rx) when an IPv4 packet to `dst` is ours.
+  bool accept_ipv4(util::Ipv4Addr dst);
+  void handle_decoded_ipv4(const pkt::DecodedFrame& frame);
+  void handle_tcp_segment(util::Ipv4Addr src, const pkt::TcpSegmentView& seg);
+  void deliver_udp(util::Endpoint from, std::uint16_t dst_port,
+                   std::span<const std::uint8_t> payload);
+  /// Ethernet header of an outgoing IPv4 frame from this NIC.
+  [[nodiscard]] pkt::EthHeader ipv4_eth(util::MacAddr dst) const;
+  /// Route an encoded IPv4 frame: stamp the next hop's MAC over its
+  /// Ethernet destination and send it, or queue it whole behind ARP.
+  void route_frame(util::Ipv4Addr dst, std::vector<std::uint8_t> frame);
+  void transmit_to(util::MacAddr dst_mac, std::vector<std::uint8_t> frame);
+  void arp_resolve(util::Ipv4Addr next_hop, std::vector<std::uint8_t> frame);
   void send_arp_request(util::Ipv4Addr target);
 
   sim::EventLoop& loop_;
@@ -146,11 +162,14 @@ class HostStack {
 
   // ARP.
   struct PendingArp {
-    std::vector<std::vector<std::uint8_t>> queue;  // Queued IPv4 packets.
+    // Complete frames; the destination MAC is written on flush.
+    std::vector<std::vector<std::uint8_t>> queue;
     int attempts = 0;
   };
   std::map<util::Ipv4Addr, util::MacAddr> arp_cache_;
   std::map<util::Ipv4Addr, PendingArp> arp_pending_;
+  /// ARP retry timers; they capture `this`, so they die with the stack.
+  sim::ScopedTimers arp_retries_{loop_};
 
   /// Register a connection under its demux key, counting its local
   /// port in port_use_.

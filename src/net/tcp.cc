@@ -49,7 +49,7 @@ void TcpConnection::start_connect() {
   arm_retransmit();
 }
 
-void TcpConnection::start_accept(const pkt::TcpSegment& syn) {
+void TcpConnection::start_accept(const pkt::TcpSegmentView& syn) {
   iss_ = stack_.random_isn();
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;
@@ -106,14 +106,13 @@ void TcpConnection::abort() {
 
 void TcpConnection::emit(std::uint8_t flags, std::uint32_t seq,
                          std::span<const std::uint8_t> payload) {
-  pkt::TcpSegment seg;
-  seg.src_port = local_.port;
-  seg.dst_port = remote_.port;
-  seg.seq = seq;
-  seg.flags = flags;
-  if (flags & pkt::kTcpAck) seg.ack = rcv_nxt_;
-  seg.payload.assign(payload.begin(), payload.end());
-  stack_.send_tcp(remote_.addr, seg);
+  stack_.send_tcp(remote_.addr,
+                  {.src_port = local_.port,
+                   .dst_port = remote_.port,
+                   .seq = seq,
+                   .ack = (flags & pkt::kTcpAck) ? rcv_nxt_ : 0,
+                   .flags = flags,
+                   .payload = payload});
 }
 
 void TcpConnection::send_ack() { emit(pkt::kTcpAck, snd_nxt_, {}); }
@@ -175,7 +174,7 @@ void TcpConnection::process_ack(std::uint32_t ack) {
     arm_retransmit();
 }
 
-void TcpConnection::input(const pkt::TcpSegment& seg) {
+void TcpConnection::input(const pkt::TcpSegmentView& seg) {
   if (seg.rst()) {
     if (state_ != TcpState::kClosed) {
       GQ_DEBUG(kLog, "%s: RST from %s", stack_.name().c_str(),
@@ -268,10 +267,10 @@ void TcpConnection::input(const pkt::TcpSegment& seg) {
   pump_output();
 }
 
-void TcpConnection::handle_established_data(const pkt::TcpSegment& seg) {
+void TcpConnection::handle_established_data(const pkt::TcpSegmentView& seg) {
   if (seg.payload.empty()) return;
   std::uint32_t seq = seg.seq;
-  std::span<const std::uint8_t> payload(seg.payload);
+  std::span<const std::uint8_t> payload = seg.payload;
 
   if (seq_lt(rcv_nxt_, seq)) {
     // Future data: stash for reassembly.

@@ -6,6 +6,11 @@
 // real TCP at the segment level because GQ's gateway rewrites sequence
 // numbers mid-stream (shim injection/stripping, flow splicing) and both
 // endpoints have to keep working through that surgery.
+//
+// Segments never own their bytes: input() reads the payload as a span
+// into the received frame, and emit() hands the stack a header plus a
+// span into send_buf_, which the stack encodes straight into the one
+// outgoing frame buffer (packet/frame.h).
 #pragma once
 
 #include <cstdint>
@@ -85,10 +90,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void start_connect();
 
   /// Start a passive open in response to `syn`.
-  void start_accept(const pkt::TcpSegment& syn);
+  void start_accept(const pkt::TcpSegmentView& syn);
 
-  /// Process one inbound segment addressed to this connection.
-  void input(const pkt::TcpSegment& seg);
+  /// Process one inbound segment addressed to this connection. Its
+  /// payload aliases the received frame; bytes kept past the call (the
+  /// out-of-order map) are copied.
+  void input(const pkt::TcpSegmentView& seg);
 
   /// Disarm the retransmit timer. The owning stack calls this as it
   /// dies, so a connection kept alive by a pending timer closure never
@@ -104,7 +111,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
             std::span<const std::uint8_t> payload);
   void send_ack();
   void pump_output();
-  void handle_established_data(const pkt::TcpSegment& seg);
+  void handle_established_data(const pkt::TcpSegmentView& seg);
   void process_ack(std::uint32_t ack);
   void deliver_in_order();
   void maybe_send_fin();

@@ -124,4 +124,20 @@ void EventLoop::run_all() {
   }
 }
 
+ScopedTimers::~ScopedTimers() {
+  // Ids of timers that already ran are stale, and cancel ignores them.
+  for (const auto& [at, id] : armed_) loop_.cancel(id);
+}
+
+EventId ScopedTimers::schedule_in(util::Duration delay,
+                                  std::function<void()> fn) {
+  // A timer due strictly before now has run; one due now may not have.
+  while (!armed_.empty() && armed_.front().first < loop_.now())
+    armed_.pop_front();
+  const util::TimePoint at = loop_.now() + delay;
+  const EventId id = loop_.schedule_at(at, std::move(fn));
+  armed_.emplace_back(at, id);
+  return id;
+}
+
 }  // namespace gq::sim

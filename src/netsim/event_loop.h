@@ -20,7 +20,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "util/time.h"
@@ -156,6 +158,30 @@ class EventLoop {
   // slots are recycled through free_slots_.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+};
+
+/// Timers that must not outlive their owner. An owner whose timer
+/// closures capture `this` schedules them here rather than on the loop:
+/// destroying the group cancels every one that has not fired. A timer
+/// still fires after the state it was armed for is gone (the closure
+/// checks that state), so the events a run executes do not depend on
+/// the group. Ids are kept in scheduling order and dropped from the
+/// front once their time has passed; with one fixed delay per owner
+/// that is firing order, so the group holds only timers in flight.
+class ScopedTimers {
+ public:
+  explicit ScopedTimers(EventLoop& loop) : loop_(loop) {}
+  ~ScopedTimers();
+  ScopedTimers(const ScopedTimers&) = delete;
+  ScopedTimers& operator=(const ScopedTimers&) = delete;
+
+  /// EventLoop::schedule_in, cancelled if still pending when the group
+  /// dies.
+  EventId schedule_in(util::Duration delay, std::function<void()> fn);
+
+ private:
+  EventLoop& loop_;
+  std::deque<std::pair<util::TimePoint, EventId>> armed_;
 };
 
 }  // namespace gq::sim

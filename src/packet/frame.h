@@ -38,11 +38,31 @@ struct DecodedFrame {
 
   /// Re-encode to wire bytes. L4 payload containers are authoritative:
   /// when `tcp`/`udp`/`icmp` is set, `ip->payload` is regenerated from it.
+  /// TCP and UDP frames go through encode_tcp_frame / encode_udp_frame.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
   /// One-line human summary for logs ("10.0.0.23:1234 > 1.2.3.4:80 TCP S").
   [[nodiscard]] std::string summary() const;
 };
+
+/// Spare capacity every encoded frame carries, so the 802.1Q tag a trunk
+/// port inserts (`insert_vlan_tag`) never reallocates the buffer.
+inline constexpr std::size_t kVlanHeadroom = 4;
+
+/// Encode one Ethernet + IPv4 + TCP frame into a single buffer, sized
+/// once with kVlanHeadroom spare: `eth` is written as given (ethertype
+/// and any tag included), the payload is copied once, and the IPv4 and
+/// TCP checksums are each computed once over the final bytes. Equal byte
+/// for byte to serialize_eth(eth, serialize_ipv4(serialize_tcp(...))).
+std::vector<std::uint8_t> encode_tcp_frame(const EthHeader& eth,
+                                           const Ipv4Header& ip,
+                                           const TcpSegmentView& tcp);
+
+/// The UDP arm of encode_tcp_frame (a computed checksum of zero is sent
+/// as 0xFFFF, as serialize_udp does).
+std::vector<std::uint8_t> encode_udp_frame(
+    const EthHeader& eth, const Ipv4Header& ip, std::uint16_t src_port,
+    std::uint16_t dst_port, std::span<const std::uint8_t> payload);
 
 /// Decode raw frame bytes. Returns nullopt if the Ethernet header is
 /// malformed; higher layers that fail to parse simply stay unset (the

@@ -156,4 +156,8 @@ void insert_vlan_tag(std::vector<std::uint8_t>& bytes, std::uint16_t vlan) {
   bytes.insert(bytes.begin() + kTypeOffset, tag, tag + kVlanTag);
 }
 
+void write_eth_dst(std::span<std::uint8_t> bytes, const util::MacAddr& mac) {
+  std::memcpy(bytes.data(), mac.bytes().data(), 6);
+}
+
 }  // namespace gq::pkt

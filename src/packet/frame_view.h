@@ -68,8 +68,14 @@ class ConstFrameView {
   [[nodiscard]] bool tcp_fin() const { return tcp_flags() & kTcpFin; }
   [[nodiscard]] bool tcp_rst() const { return tcp_flags() & kTcpRst; }
   [[nodiscard]] bool tcp_has_ack() const { return tcp_flags() & kTcpAck; }
+  [[nodiscard]] std::uint16_t tcp_window() const { return rd16(l4_ + 14); }
   /// L4 payload length (TCP payload bytes / UDP datagram payload bytes).
   [[nodiscard]] std::uint32_t payload_len() const { return payload_len_; }
+  /// The L4 payload in place (the frame's tail, after the TCP or UDP
+  /// header).
+  [[nodiscard]] std::span<const std::uint8_t> payload() const {
+    return {base_ + l4_ + (is_tcp() ? 20 : 8), payload_len_};
+  }
 
   /// The directional flow key of this frame, extracted in place.
   [[nodiscard]] FlowKey flow_key() const {
@@ -155,7 +161,13 @@ std::optional<util::Ipv4Addr> ipv4_dst_of(
 /// `insert_vlan_tag` cannot reallocate.
 void strip_vlan_tag(std::vector<std::uint8_t>& bytes);
 
-/// Insert an 802.1Q tag in place (PCP/DEI zero).
+/// Insert an 802.1Q tag in place (PCP/DEI zero). Frames from the
+/// encoders in packet/frame.h carry the headroom, so this never
+/// reallocates them.
 void insert_vlan_tag(std::vector<std::uint8_t>& bytes, std::uint16_t vlan);
+
+/// Overwrite the Ethernet destination of a raw frame (its first six
+/// bytes) without parsing it.
+void write_eth_dst(std::span<std::uint8_t> bytes, const util::MacAddr& mac);
 
 }  // namespace gq::pkt

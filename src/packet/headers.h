@@ -50,6 +50,15 @@ struct ArpMessage {
   util::Ipv4Addr target_ip;
 };
 
+/// The IPv4 header fields a frame encoder takes; the rest is fixed
+/// (IHL 5, DSCP/ECN 0, never fragmented, protocol from the L4 arm).
+struct Ipv4Header {
+  util::Ipv4Addr src;
+  util::Ipv4Addr dst;
+  std::uint8_t ttl = 64;
+  std::uint16_t ident = 0;
+};
+
 /// IPv4 header (no options) + payload ownership.
 struct Ipv4Packet {
   util::Ipv4Addr src;
@@ -69,6 +78,30 @@ struct TcpSegment {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
   std::vector<std::uint8_t> payload;
+
+  [[nodiscard]] bool syn() const { return flags & kTcpSyn; }
+  [[nodiscard]] bool fin() const { return flags & kTcpFin; }
+  [[nodiscard]] bool rst() const { return flags & kTcpRst; }
+  [[nodiscard]] bool has_ack() const { return flags & kTcpAck; }
+};
+
+/// A TCP segment whose payload is borrowed: a received segment aliasing
+/// the frame it arrived in, or an outgoing one aliasing its sender's
+/// buffer until the frame encoder copies it out.
+struct TcpSegmentView {
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  std::uint32_t seq = 0;
+  std::uint32_t ack = 0;
+  std::uint8_t flags = 0;
+  std::uint16_t window = 65535;
+  std::span<const std::uint8_t> payload;
+
+  /// A view of `seg`, valid while `seg` is.
+  static TcpSegmentView of(const TcpSegment& seg) {
+    return {seg.src_port, seg.dst_port, seg.seq,    seg.ack,
+            seg.flags,    seg.window,   seg.payload};
+  }
 
   [[nodiscard]] bool syn() const { return flags & kTcpSyn; }
   [[nodiscard]] bool fin() const { return flags & kTcpFin; }
@@ -104,7 +137,10 @@ std::vector<std::uint8_t> serialize_arp(const ArpMessage& arp);
 std::vector<std::uint8_t> serialize_ipv4(const Ipv4Packet& ip);
 
 /// Serialize a TCP segment with a correct pseudo-header checksum; the
-/// src/dst addresses are those of the enclosing IPv4 packet.
+/// src/dst addresses are those of the enclosing IPv4 packet. The
+/// serialize_eth(serialize_ipv4(serialize_tcp|udp(...))) chain is the
+/// reference the one-buffer encoders in packet/frame.h are tested
+/// against; the data path encodes TCP and UDP frames through those.
 std::vector<std::uint8_t> serialize_tcp(util::Ipv4Addr src, util::Ipv4Addr dst,
                                         const TcpSegment& tcp);
 

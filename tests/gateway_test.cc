@@ -12,6 +12,7 @@
 #include "containment/handlers.h"
 #include "containment/policies.h"
 #include "containment/server.h"
+#include "gateway/arp_proxy.h"
 #include "gateway/gateway.h"
 #include "gateway/router.h"
 #include "net/stack.h"
@@ -156,6 +157,24 @@ struct FarmFixture : ::testing::Test {
     cs->bind_policy(16, 19, std::move(policy));
   }
 };
+
+// The ArpProxy's request retry captures the proxy; destroying the proxy
+// while a resolution is outstanding must cancel it.
+TEST(ArpProxyTeardown, CancelsRetryOnDestruction) {
+  sim::EventLoop loop;
+  int emitted = 0;
+  auto proxy = std::make_unique<gw::ArpProxy>(
+      loop, util::MacAddr::local(9), Ipv4Addr(10, 3, 0, 1),
+      [&emitted](std::vector<std::uint8_t>) { ++emitted; });
+  const std::size_t before = loop.pending();
+  proxy->resolve(Ipv4Addr(10, 3, 0, 7), [](util::MacAddr) {});
+  EXPECT_EQ(emitted, 1);
+  EXPECT_EQ(loop.pending(), before + 1);
+  proxy.reset();
+  EXPECT_EQ(loop.pending(), before);
+  loop.run_for(util::seconds(5));
+  EXPECT_EQ(emitted, 1);
+}
 
 TEST_F(FarmFixture, DhcpBindsInternalAndGlobalAddresses) {
   const auto* binding = subfarm->inmates().by_vlan(16);

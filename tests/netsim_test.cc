@@ -257,6 +257,28 @@ TEST(EventLoop, DestructionToleratesReentrantCancel) {
   EXPECT_EQ(pending_seen, (std::vector<std::size_t>{0}));
 }
 
+// A ScopedTimers group cancels, when it dies, exactly the timers that
+// have not fired; those that fired ran as scheduled.
+TEST(ScopedTimers, CancelsOnlyUnfiredTimersOnDestruction) {
+  EventLoop loop;
+  std::vector<int> ran;
+  auto timers = std::make_unique<ScopedTimers>(loop);
+  for (int i = 1; i <= 4; ++i) {
+    timers->schedule_in(util::milliseconds(i * 10),
+                        [&ran, i] { ran.push_back(i); });
+  }
+  loop.run_for(util::milliseconds(25));
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+  // Scheduling after time has passed drops the fired ids, not the armed.
+  timers->schedule_in(util::milliseconds(1), [&ran] { ran.push_back(5); });
+  EXPECT_EQ(loop.pending(), 3u);
+  timers.reset();
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.run_for(util::seconds(1));
+  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+  EXPECT_EQ(loop.events_executed(), 2u);
+}
+
 TEST(Port, DeliversAfterLatency) {
   EventLoop loop;
   Port a(loop, "a"), b(loop, "b");

@@ -2,8 +2,11 @@
 // malformed-input rejection, frame decode/encode, flow keys, pcap output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "packet/checksum.h"
 #include "packet/frame.h"
+#include "packet/frame_view.h"
 #include "packet/headers.h"
 #include "packet/pcap.h"
 #include "util/rng.h"
@@ -295,6 +298,132 @@ TEST(Frame, NonIpHasNoFlowKey) {
   f.eth.ethertype = kEtherTypeArp;
   f.arp = ArpMessage{};
   EXPECT_FALSE(flow_key_of(f));
+}
+
+// The one-buffer encoders against the serialize_* chain they replace on
+// the data path, which stays as the reference (like checksum_reference).
+struct RandomFrame {
+  EthHeader eth;
+  Ipv4Header ip;
+  TcpSegment tcp;
+  UdpDatagram udp;
+};
+
+RandomFrame random_frame(util::Rng& rng, std::size_t payload_len) {
+  RandomFrame f;
+  auto mac = [&] {
+    std::array<std::uint8_t, 6> b;
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+    return MacAddr(b);
+  };
+  f.eth.dst = mac();
+  f.eth.src = mac();
+  // Any 16-bit value: the tag keeps the low 12 bits, as serialize_eth.
+  if (rng.chance(0.5)) f.eth.vlan = static_cast<std::uint16_t>(rng.next());
+  f.eth.ethertype = kEtherTypeIpv4;
+  f.ip.src = Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
+  f.ip.dst = Ipv4Addr(static_cast<std::uint32_t>(rng.next()));
+  f.ip.ttl = static_cast<std::uint8_t>(rng.next());
+  f.ip.ident = static_cast<std::uint16_t>(rng.next());
+  std::vector<std::uint8_t> payload(payload_len);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+  f.tcp.src_port = static_cast<std::uint16_t>(rng.next());
+  f.tcp.dst_port = static_cast<std::uint16_t>(rng.next());
+  f.tcp.seq = static_cast<std::uint32_t>(rng.next());
+  f.tcp.ack = static_cast<std::uint32_t>(rng.next());
+  f.tcp.flags = static_cast<std::uint8_t>(rng.next());
+  f.tcp.window = static_cast<std::uint16_t>(rng.next());
+  f.tcp.payload = payload;
+  f.udp.src_port = static_cast<std::uint16_t>(rng.next());
+  f.udp.dst_port = static_cast<std::uint16_t>(rng.next());
+  f.udp.payload = std::move(payload);
+  return f;
+}
+
+std::vector<std::uint8_t> reference_frame(const RandomFrame& f,
+                                          std::uint8_t protocol) {
+  Ipv4Packet ip{f.ip.src, f.ip.dst, protocol, f.ip.ttl, f.ip.ident, {}};
+  ip.payload = protocol == kProtoTcp ? serialize_tcp(ip.src, ip.dst, f.tcp)
+                                     : serialize_udp(ip.src, ip.dst, f.udp);
+  return serialize_eth(f.eth, serialize_ipv4(ip));
+}
+
+DecodedFrame decoded_of(const RandomFrame& f, std::uint8_t protocol) {
+  DecodedFrame d;
+  d.eth = f.eth;
+  d.ip = Ipv4Packet{f.ip.src, f.ip.dst, 0, f.ip.ttl, f.ip.ident, {}};
+  if (protocol == kProtoTcp) {
+    d.tcp = f.tcp;
+  } else {
+    d.udp = f.udp;
+  }
+  return d;
+}
+
+TEST(FrameEncoder, MatchesSerializeChainOnRandomFrames) {
+  util::Rng rng(0xE2C0DE);
+  std::size_t tagged = 0;
+  for (int i = 0; i < 600; ++i) {
+    const std::size_t len = i == 0 ? 0 : i == 1 ? 1460 : rng.below(1461);
+    const RandomFrame f = random_frame(rng, len);
+    tagged += f.eth.vlan.has_value();
+
+    const auto tcp = encode_tcp_frame(f.eth, f.ip, TcpSegmentView::of(f.tcp));
+    ASSERT_EQ(tcp, reference_frame(f, kProtoTcp)) << "i=" << i;
+    EXPECT_GE(tcp.capacity(), tcp.size() + kVlanHeadroom);
+    EXPECT_EQ(decoded_of(f, kProtoTcp).encode(), tcp) << "i=" << i;
+
+    const auto udp = encode_udp_frame(f.eth, f.ip, f.udp.src_port,
+                                      f.udp.dst_port, f.udp.payload);
+    ASSERT_EQ(udp, reference_frame(f, kProtoUdp)) << "i=" << i;
+    EXPECT_GE(udp.capacity(), udp.size() + kVlanHeadroom);
+    EXPECT_EQ(decoded_of(f, kProtoUdp).encode(), udp) << "i=" << i;
+
+    // The receive side reads both back in place, payload included.
+    const auto tcp_view = ConstFrameView::parse(tcp, ViewVerify::kFull);
+    ASSERT_TRUE(tcp_view);
+    EXPECT_TRUE(std::ranges::equal(tcp_view->payload(), f.tcp.payload));
+    EXPECT_EQ(tcp_view->tcp_window(), f.tcp.window);
+    const auto udp_view = ConstFrameView::parse(udp, ViewVerify::kFull);
+    ASSERT_TRUE(udp_view);
+    EXPECT_TRUE(std::ranges::equal(udp_view->payload(), f.udp.payload));
+  }
+  EXPECT_GT(tagged, 200u);
+  EXPECT_LT(tagged, 400u);
+}
+
+TEST(FrameEncoder, UdpChecksumFoldingToZeroIsSentAsFfff) {
+  util::Rng rng(0xFFFF);
+  for (int i = 0; i < 50; ++i) {
+    // Even payload length, so the last payload word is 16-bit aligned in
+    // the checksummed segment. Setting that word to the checksum computed
+    // with it zero makes the real checksum zero (the verification rule).
+    RandomFrame f = random_frame(rng, 2 * (1 + rng.below(700)));
+    auto& payload = f.udp.payload;
+    payload[payload.size() - 2] = 0;
+    payload[payload.size() - 1] = 0;
+    std::vector<std::uint8_t> segment = {
+        static_cast<std::uint8_t>(f.udp.src_port >> 8),
+        static_cast<std::uint8_t>(f.udp.src_port),
+        static_cast<std::uint8_t>(f.udp.dst_port >> 8),
+        static_cast<std::uint8_t>(f.udp.dst_port),
+        static_cast<std::uint8_t>((8 + payload.size()) >> 8),
+        static_cast<std::uint8_t>(8 + payload.size()),
+        0, 0};
+    segment.insert(segment.end(), payload.begin(), payload.end());
+    const std::uint16_t zeroed = l4_checksum(f.ip.src, f.ip.dst, kProtoUdp,
+                                             segment);
+    payload[payload.size() - 2] = static_cast<std::uint8_t>(zeroed >> 8);
+    payload[payload.size() - 1] = static_cast<std::uint8_t>(zeroed);
+
+    const auto udp = encode_udp_frame(f.eth, f.ip, f.udp.src_port,
+                                      f.udp.dst_port, payload);
+    ASSERT_EQ(udp, reference_frame(f, kProtoUdp)) << "i=" << i;
+    const std::size_t csum_at = (f.eth.vlan ? 18 : 14) + 20 + 6;
+    EXPECT_EQ(udp[csum_at], 0xFF);
+    EXPECT_EQ(udp[csum_at + 1], 0xFF);
+    EXPECT_EQ(decoded_of(f, kProtoUdp).encode(), udp);
+  }
 }
 
 TEST(Pcap, HeaderAndRecords) {

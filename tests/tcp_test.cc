@@ -12,6 +12,9 @@
 
 #include "net/stack.h"
 #include "net/tcp.h"
+#include "packet/checksum.h"
+#include "packet/frame.h"
+#include "packet/headers.h"
 #include "util/bytes.h"
 #include "netsim/event_loop.h"
 #include "netsim/vlan_switch.h"
@@ -207,8 +210,9 @@ TEST_F(TcpFixture, EphemeralPortsDistinct) {
 
 // A pending retransmit closure owns its connection, so the connection
 // can outlive its stack. The dying stack disarms every timer it still
-// tracks; the connection's destructor then never reaches the freed
-// stack (a heap-use-after-free under the asan lane).
+// tracks (here the SYN's retransmit timer and the retry of the ARP
+// request the SYN waits on); the connection's destructor then never
+// reaches the freed stack (a heap-use-after-free under the asan lane).
 TEST(HostStackTeardown, DisarmsRetransmitTimersOfTrackedConnections) {
   sim::EventLoop loop;
   auto host =
@@ -219,8 +223,234 @@ TEST(HostStackTeardown, DisarmsRetransmitTimersOfTrackedConnections) {
   conn.reset();  // The armed retransmit closure keeps it alive.
   const std::size_t pending = loop.pending();
   host.reset();
-  EXPECT_EQ(loop.pending(), pending - 1);
+  EXPECT_EQ(loop.pending(), pending - 2);
   loop.drop_pending();  // The connection dies here.
+}
+
+// The ARP retry closure captures the stack. Destroying the stack while
+// a request is outstanding must cancel it: a surviving retry would run
+// on freed memory when the loop reaches it.
+TEST(HostStackTeardown, CancelsArpRetryOnDestruction) {
+  sim::EventLoop loop;
+  auto host =
+      std::make_unique<HostStack>(loop, "h", util::MacAddr::local(1), 1);
+  host->configure({Ipv4Addr(10, 0, 0, 1), Ipv4Net(Ipv4Addr(10, 0, 0, 0), 24),
+                   Ipv4Addr(10, 0, 0, 254), {}});
+  const std::size_t before = loop.pending();
+  // Nobody answers ARP for 10.0.0.2: the SYN waits behind a request.
+  auto conn = host->connect({Ipv4Addr(10, 0, 0, 2), 80});
+  EXPECT_EQ(loop.pending(), before + 2);  // Retransmit timer, ARP retry.
+  host.reset();
+  EXPECT_EQ(loop.pending(), before);
+  loop.run_for(util::seconds(5));
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+// Canonical TCP and UDP frames are read in place; everything else the
+// view rejects must get exactly what pkt::decode_frame gives it.
+struct RawPeerFixture : ::testing::Test {
+  static constexpr util::MacAddr kHostMac = util::MacAddr::local(1);
+  static constexpr util::MacAddr kPeerMac = util::MacAddr::local(9);
+  static inline const Ipv4Addr kHostIp{10, 0, 0, 1};
+  static inline const Ipv4Addr kPeerIp{10, 0, 0, 9};
+
+  sim::EventLoop loop;
+  HostStack host{loop, "h", kHostMac, 1};
+  sim::Port peer{loop, "peer"};
+  std::vector<std::vector<std::uint8_t>> seen;  // Frames the host sent.
+
+  void SetUp() override {
+    sim::Port::connect(peer, host.nic(), util::microseconds(10));
+    host.configure({kHostIp, Ipv4Net(Ipv4Addr(10, 0, 0, 0), 24),
+                    Ipv4Addr(10, 0, 0, 254), {}});
+    peer.set_rx([this](sim::Frame f) { seen.push_back(std::move(f.bytes)); });
+  }
+
+  // A frame from the peer to the host, built by the reference chain.
+  static std::vector<std::uint8_t> to_host(std::uint8_t protocol,
+                                           std::vector<std::uint8_t> l4) {
+    pkt::Ipv4Packet ip;
+    ip.src = kPeerIp;
+    ip.dst = kHostIp;
+    ip.protocol = protocol;
+    ip.payload = std::move(l4);
+    pkt::EthHeader eth;
+    eth.dst = kHostMac;
+    eth.src = kPeerMac;
+    eth.ethertype = pkt::kEtherTypeIpv4;
+    return pkt::serialize_eth(eth, pkt::serialize_ipv4(ip));
+  }
+
+  void answer_arp(Ipv4Addr as) {
+    pkt::ArpMessage reply;
+    reply.op = pkt::ArpMessage::Op::kReply;
+    reply.sender_mac = kPeerMac;
+    reply.sender_ip = as;
+    reply.target_mac = kHostMac;
+    reply.target_ip = kHostIp;
+    pkt::EthHeader eth;
+    eth.dst = kHostMac;
+    eth.src = kPeerMac;
+    eth.ethertype = pkt::kEtherTypeArp;
+    peer.transmit(
+        sim::Frame{pkt::serialize_eth(eth, pkt::serialize_arp(reply))});
+  }
+};
+
+constexpr std::size_t kIp = 14;  // IPv4 header offset (untagged).
+
+void fix_ip_checksum(std::vector<std::uint8_t>& b) {
+  const std::size_t ihl = (b[kIp] & 0x0F) * 4u;
+  b[kIp + 10] = b[kIp + 11] = 0;
+  const std::uint16_t csum =
+      pkt::checksum(std::span<const std::uint8_t>(b.data() + kIp, ihl));
+  b[kIp + 10] = static_cast<std::uint8_t>(csum >> 8);
+  b[kIp + 11] = static_cast<std::uint8_t>(csum);
+}
+
+// How a received frame is bent away from the canonical shape.
+struct Bend {
+  const char* name;
+  void (*apply)(std::vector<std::uint8_t>&, std::size_t l4_csum);
+  bool delivered;  // What the decode path does with it.
+  bool counted;    // Whether it counts in ip_rx.
+};
+
+const Bend kBends[] = {
+    {"canonical", [](std::vector<std::uint8_t>&, std::size_t) {}, true, true},
+    {"ip_options",
+     [](std::vector<std::uint8_t>& b, std::size_t) {
+       const std::uint8_t nops[] = {1, 1, 1, 0};  // NOP NOP NOP EOL.
+       b.insert(b.begin() + kIp + 20, nops, nops + 4);
+       b[kIp] = 0x46;
+       b[kIp + 3] = static_cast<std::uint8_t>(b[kIp + 3] + 4);
+       fix_ip_checksum(b);
+     },
+     true, true},
+    {"trailing_padding",
+     [](std::vector<std::uint8_t>& b, std::size_t) { b.resize(b.size() + 6); },
+     true, true},
+    {"dont_fragment",
+     [](std::vector<std::uint8_t>& b, std::size_t) {
+       b[kIp + 6] = 0x40;
+       fix_ip_checksum(b);
+     },
+     true, true},
+    {"bad_l4_checksum",
+     [](std::vector<std::uint8_t>& b, std::size_t at) { b[at] ^= 0x5A; },
+     false, true},
+    {"bad_ip_checksum",
+     [](std::vector<std::uint8_t>& b, std::size_t) { b[kIp + 10] ^= 0x5A; },
+     false, false},
+};
+
+TEST_F(RawPeerFixture, UdpFramesTheViewRejectsFollowDecodePath) {
+  auto sock = host.udp_open(53);
+  std::vector<std::string> got;
+  sock->on_datagram = [&](Endpoint from, std::vector<std::uint8_t> data) {
+    EXPECT_EQ(from.addr, kPeerIp);
+    got.emplace_back(data.begin(), data.end());
+  };
+  auto send = [&](const Bend& bend, std::uint16_t sport, bool zero_csum) {
+    pkt::UdpDatagram dgram;
+    dgram.src_port = sport;
+    dgram.dst_port = 53;
+    dgram.payload = util::to_bytes(bend.name);
+    auto bytes = to_host(pkt::kProtoUdp,
+                         pkt::serialize_udp(kPeerIp, kHostIp, dgram));
+    const std::size_t csum_at = kIp + 20 + 6;
+    if (zero_csum) bytes[csum_at] = bytes[csum_at + 1] = 0;  // "None".
+    bend.apply(bytes, csum_at);
+    const auto decoded = pkt::decode_frame(bytes);
+    ASSERT_TRUE(decoded);
+    ASSERT_EQ(decoded->udp.has_value(), bend.delivered) << bend.name;
+    got.clear();
+    const auto rx = host.ip_rx();
+    peer.transmit(sim::Frame{std::move(bytes)});
+    loop.run_for(util::milliseconds(1));
+    EXPECT_EQ(got.size(), bend.delivered ? 1u : 0u) << bend.name;
+    if (!got.empty()) {
+      EXPECT_EQ(got[0], bend.name);
+    }
+    EXPECT_EQ(host.ip_rx() - rx, bend.counted ? 1u : 0u) << bend.name;
+  };
+  std::uint16_t sport = 1000;
+  for (const Bend& bend : kBends) send(bend, sport++, false);
+  // A zero UDP checksum means "none": not canonical, delivered unchecked.
+  send(kBends[0], sport++, true);
+  send(kBends[4], sport++, true);  // Corrupting the zero field breaks it.
+}
+
+TEST_F(RawPeerFixture, TcpFramesTheViewRejectsFollowDecodePath) {
+  int accepted = 0;
+  host.listen(80, [&](std::shared_ptr<TcpConnection>) { ++accepted; });
+  std::uint16_t sport = 2000;
+  for (const Bend& bend : kBends) {
+    pkt::TcpSegment syn;
+    syn.src_port = sport++;
+    syn.dst_port = 80;
+    syn.seq = 7777;
+    syn.flags = pkt::kTcpSyn;
+    auto bytes =
+        to_host(pkt::kProtoTcp, pkt::serialize_tcp(kPeerIp, kHostIp, syn));
+    bend.apply(bytes, kIp + 20 + 16);
+    const auto decoded = pkt::decode_frame(bytes);
+    ASSERT_TRUE(decoded);
+    ASSERT_EQ(decoded->tcp.has_value(), bend.delivered) << bend.name;
+    const int before = accepted;
+    const auto rx = host.ip_rx();
+    peer.transmit(sim::Frame{std::move(bytes)});
+    loop.run_for(util::milliseconds(1));
+    EXPECT_EQ(accepted - before, bend.delivered ? 1 : 0) << bend.name;
+    EXPECT_EQ(host.ip_rx() - rx, bend.counted ? 1u : 0u) << bend.name;
+  }
+}
+
+// A frame queued behind ARP leaves byte-identical to one sent with the
+// MAC cached, and both equal the reference serialization.
+TEST_F(RawPeerFixture, FrameQueuedBehindArpMatchesCachedSend) {
+  auto sock = host.udp_open(4000);
+  sock->send_to({kPeerIp, 53}, util::to_bytes("query"));
+  loop.run_for(util::milliseconds(1));
+  ASSERT_EQ(seen.size(), 1u);  // The ARP request; the datagram waits.
+  const auto request = pkt::decode_frame(seen[0]);
+  ASSERT_TRUE(request && request->arp);
+  EXPECT_EQ(request->arp->target_ip, kPeerIp);
+  answer_arp(kPeerIp);
+  loop.run_for(util::milliseconds(1));
+  ASSERT_EQ(seen.size(), 2u);
+  sock->send_to({kPeerIp, 53}, util::to_bytes("query"));
+  loop.run_for(util::milliseconds(1));
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[1], seen[2]);
+  pkt::DecodedFrame reference;
+  reference.eth = {kPeerMac, kHostMac, std::nullopt, pkt::kEtherTypeIpv4};
+  pkt::Ipv4Packet ip;
+  ip.src = kHostIp;
+  ip.dst = kPeerIp;
+  ip.protocol = pkt::kProtoUdp;
+  ip.payload = pkt::serialize_udp(
+      kHostIp, kPeerIp, pkt::UdpDatagram{4000, 53, util::to_bytes("query")});
+  EXPECT_EQ(seen[1],
+            pkt::serialize_eth(reference.eth, pkt::serialize_ipv4(ip)));
+  EXPECT_GE(seen[1].capacity(), seen[1].size() + pkt::kVlanHeadroom);
+
+  // TCP: the SYN queued behind ARP for a second neighbour, and its
+  // retransmission once the MAC is cached, are the same bytes.
+  seen.clear();
+  const Ipv4Addr other(10, 0, 0, 10);
+  auto conn = host.connect({other, 80});
+  loop.run_for(util::milliseconds(1));
+  ASSERT_EQ(seen.size(), 1u);  // ARP request.
+  answer_arp(other);
+  loop.run_for(util::milliseconds(250));  // Flush, then one 200-ms RTO.
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[1], seen[2]);
+  const auto syn = pkt::decode_frame(seen[1]);
+  ASSERT_TRUE(syn && syn->tcp);
+  EXPECT_TRUE(syn->tcp->syn());
+  EXPECT_EQ(syn->encode(), seen[1]);
+  conn->abort();
 }
 
 // allocate_port() keeps a use count per local port instead of scanning
