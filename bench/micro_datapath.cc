@@ -112,6 +112,31 @@ void BM_PortHop(benchmark::State& state) {
 }
 BENCHMARK(BM_PortHop)->Arg(64)->Arg(1514);
 
+// BM_PortHop with N timers armed far in the future, the loop's state in
+// a running farm (perfbench `contain` keeps ~800 keys queued, most of
+// them TCP retransmit and ARP timers). A hop at its link's latency rides
+// a lane, so its cost should not grow with N.
+void BM_PortHopBehindTimers(benchmark::State& state) {
+  sim::EventLoop loop;
+  sim::Port a(loop, "a"), b(loop, "b");
+  const util::Duration latency = util::microseconds(50);
+  sim::Port::connect(a, b, latency);
+  const auto timers = state.range(0);
+  for (std::int64_t i = 0; i < timers; ++i)
+    loop.schedule_in(util::hours(1000) + util::microseconds(i), [] {});
+  std::vector<std::uint8_t> buffer(64, 0x5A);
+  b.set_rx([&buffer](sim::Frame frame) { buffer = std::move(frame.bytes); });
+  for (auto _ : state) {
+    a.transmit(sim::Frame{std::move(buffer)});
+    loop.run_for(latency);
+    benchmark::DoNotOptimize(buffer.data());
+  }
+  if (buffer.size() != 64 || loop.pending() != static_cast<std::size_t>(timers))
+    state.SkipWithError("frame lost or timer fired");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PortHopBehindTimers)->Arg(0)->Arg(800);
+
 void BM_FrameDecode(benchmark::State& state) {
   auto bytes = sample_tcp_frame(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(pkt::decode_frame(bytes));

@@ -8,8 +8,7 @@
 
 namespace gq::sim {
 
-std::uint32_t EventLoop::push_key(util::TimePoint at) {
-  if (at < now_) at = now_;
+std::uint32_t EventLoop::claim_slot() {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -19,10 +18,41 @@ std::uint32_t EventLoop::push_key(util::TimePoint at) {
     slots_.emplace_back();
   }
   slots_[slot].state = SlotState::kLive;
-  heap_.push_back(Key{at, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   return slot;
+}
+
+std::uint32_t EventLoop::push_key(util::TimePoint at) {
+  if (at < now_) at = now_;
+  const std::uint32_t slot = claim_slot();
+  heap_.push_back(Key{at, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return slot;
+}
+
+void EventLoop::Lane::push(const Key& key) {
+  if (size == ring.size()) {
+    std::vector<Key> grown(std::max<std::size_t>(16, 2 * ring.size()));
+    for (std::size_t i = 0; i < size; ++i)
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    ring.swap(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = key;
+  ++size;
+}
+
+EventLoop::Lane* EventLoop::lane_for(util::Duration latency) {
+  // A negative delay would be clamped to now, breaking the one-delay
+  // invariant that keeps a lane sorted.
+  if (latency.usec < 0) return nullptr;
+  Lane* free = nullptr;
+  for (Lane& lane : lanes_) {
+    if (lane.delay == latency) return &lane;
+    if (free == nullptr && lane.empty()) free = &lane;
+  }
+  if (free != nullptr) free->delay = latency;
+  return free;
 }
 
 EventId EventLoop::schedule_at(util::TimePoint at, std::function<void()> fn) {
@@ -33,13 +63,26 @@ EventId EventLoop::schedule_at(util::TimePoint at, std::function<void()> fn) {
   return make_id(s.generation, slot);
 }
 
-EventId EventLoop::schedule_frame_at(util::TimePoint at, Port* port,
-                                     Frame frame) {
-  const std::uint32_t slot = push_key(at);
+EventId EventLoop::fill_frame(std::uint32_t slot, Port* port, Frame frame) {
   Slot& s = slots_[slot];
   s.payload.port = port;
   s.payload.frame = std::move(frame);
   return make_id(s.generation, slot);
+}
+
+EventId EventLoop::schedule_frame_at(util::TimePoint at, Port* port,
+                                     Frame frame) {
+  return fill_frame(push_key(at), port, std::move(frame));
+}
+
+EventId EventLoop::schedule_hop(util::Duration latency, Port* port,
+                                Frame frame) {
+  Lane* lane = lane_for(latency);
+  if (lane == nullptr)
+    return schedule_frame_at(now_ + latency, port, std::move(frame));
+  const std::uint32_t slot = claim_slot();
+  lane->push(Key{now_ + latency, next_seq_++, slot});
+  return fill_frame(slot, port, std::move(frame));
 }
 
 void EventLoop::cancel(EventId id) {
@@ -71,11 +114,25 @@ EventLoop::Payload EventLoop::retire_slot(std::uint32_t slot) {
 }
 
 bool EventLoop::step(util::TimePoint deadline) {
-  while (!heap_.empty()) {
-    if (heap_.front().at > deadline) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Key key = heap_.back();
-    heap_.pop_back();
+  for (;;) {
+    // The earliest key is the heap top or the head of one lane.
+    const Key* next = heap_.empty() ? nullptr : &heap_.front();
+    Lane* from = nullptr;
+    for (Lane& lane : lanes_) {
+      if (lane.empty()) continue;
+      if (next == nullptr || Later{}(*next, lane.front())) {
+        next = &lane.front();
+        from = &lane;
+      }
+    }
+    if (next == nullptr || next->at > deadline) return false;
+    Key key = *next;
+    if (from != nullptr) {
+      from->pop();
+    } else {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
     const bool cancelled = slots_[key.slot].state == SlotState::kCancelled;
     Payload payload = retire_slot(key.slot);
     if (cancelled) continue;
@@ -96,7 +153,6 @@ bool EventLoop::step(util::TimePoint deadline) {
     }
     return true;
   }
-  return false;
 }
 
 void EventLoop::run_until(util::TimePoint deadline) {
@@ -112,6 +168,9 @@ void EventLoop::drop_pending() {
   // re-entrant cancel then sees a stale generation and no-ops.
   std::vector<Key> keys;
   keys.swap(heap_);
+  for (Lane& lane : lanes_) {
+    for (; !lane.empty(); lane.pop()) keys.push_back(lane.front());
+  }
   std::vector<Payload> doomed;
   doomed.reserve(keys.size());
   for (const Key& key : keys) doomed.push_back(retire_slot(key.slot));

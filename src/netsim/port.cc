@@ -54,7 +54,13 @@ void Port::dispatch(Frame frame, util::Duration delay) {
     bridge_(delay, std::move(frame));
     return;
   }
-  loop_.schedule_frame_at(loop_.now() + delay, peer_, std::move(frame));
+  // Only the link's own latency rides a lane: a jittered or reordered
+  // delay is one of many values and would churn the loop's few lanes.
+  if (delay == latency_) {
+    loop_.schedule_hop(delay, peer_, std::move(frame));
+  } else {
+    loop_.schedule_frame_at(loop_.now() + delay, peer_, std::move(frame));
+  }
 }
 
 void Port::transmit(Frame frame) {
