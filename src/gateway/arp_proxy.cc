@@ -36,6 +36,7 @@ void ArpProxy::handle(const pkt::ArpMessage& arp) {
     cache_[arp.sender_ip] = arp.sender_mac;
     if (auto it = pending_.find(arp.sender_ip); it != pending_.end()) {
       auto waiters = std::move(it->second.waiters);
+      loop_.cancel(it->second.retry);
       pending_.erase(it);
       for (auto& waiter : waiters) waiter(arp.sender_mac);
     }
@@ -87,7 +88,7 @@ void ArpProxy::send_request(util::Ipv4Addr target) {
   eth.src = my_mac_;
   eth.ethertype = pkt::kEtherTypeArp;
   emit_(pkt::serialize_eth(eth, pkt::serialize_arp(request)));
-  retries_.schedule_in(kRetryDelay, [this, target] {
+  it->second.retry = retries_.schedule_in(kRetryDelay, [this, target] {
     if (pending_.count(target)) send_request(target);
   });
 }

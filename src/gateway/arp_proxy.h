@@ -60,6 +60,7 @@ class ArpProxy {
   struct Pending {
     std::vector<std::function<void(util::MacAddr)>> waiters;
     int attempts = 0;
+    sim::EventId retry = 0;  // The armed retry; cancelled on flush.
   };
 
   [[nodiscard]] bool owns(util::Ipv4Addr addr) const;

@@ -165,6 +165,7 @@ class HostStack {
     // Complete frames; the destination MAC is written on flush.
     std::vector<std::vector<std::uint8_t>> queue;
     int attempts = 0;
+    sim::EventId retry = 0;  // The armed retry; cancelled on flush.
   };
   std::map<util::Ipv4Addr, util::MacAddr> arp_cache_;
   std::map<util::Ipv4Addr, PendingArp> arp_pending_;

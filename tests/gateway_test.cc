@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "containment/handlers.h"
 #include "containment/policies.h"
@@ -174,6 +175,34 @@ TEST(ArpProxyTeardown, CancelsRetryOnDestruction) {
   EXPECT_EQ(loop.pending(), before);
   loop.run_for(util::seconds(5));
   EXPECT_EQ(emitted, 1);
+}
+
+// A lost reply is retried; the reply that resolves the address cancels
+// the retry, so a completed resolution leaves nothing pending.
+TEST(ArpProxyRetry, ReplyCancelsRetry) {
+  sim::EventLoop loop;
+  int emitted = 0;
+  gw::ArpProxy proxy(loop, util::MacAddr::local(9), Ipv4Addr(10, 3, 0, 1),
+                     [&emitted](std::vector<std::uint8_t>) { ++emitted; });
+  std::optional<util::MacAddr> resolved;
+  proxy.resolve(Ipv4Addr(10, 3, 0, 7),
+                [&resolved](util::MacAddr mac) { resolved = mac; });
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_for(util::milliseconds(600));  // No reply to the first request.
+  EXPECT_EQ(emitted, 2);
+  EXPECT_EQ(loop.pending(), 1u);
+  pkt::ArpMessage reply;
+  reply.op = pkt::ArpMessage::Op::kReply;
+  reply.sender_mac = util::MacAddr::local(7);
+  reply.sender_ip = Ipv4Addr(10, 3, 0, 7);
+  reply.target_mac = util::MacAddr::local(9);
+  reply.target_ip = Ipv4Addr(10, 3, 0, 1);
+  proxy.handle(reply);
+  EXPECT_EQ(resolved, util::MacAddr::local(7));
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.run_for(util::seconds(5));
+  EXPECT_EQ(emitted, 2);
+  EXPECT_EQ(loop.events_executed(), 1u);  // Only the one retry ran.
 }
 
 TEST_F(FarmFixture, DhcpBindsInternalAndGlobalAddresses) {

@@ -453,6 +453,29 @@ TEST_F(RawPeerFixture, FrameQueuedBehindArpMatchesCachedSend) {
   conn->abort();
 }
 
+// A lost reply is retried; the reply that resolves the neighbour
+// cancels the retry, so a completed resolution leaves nothing pending.
+TEST_F(RawPeerFixture, ResolvedArpLeavesNoRetryPending) {
+  auto sock = host.udp_open(4000);
+  sock->send_to({kPeerIp, 53}, util::to_bytes("query"));
+  loop.run_for(util::milliseconds(1));
+  ASSERT_EQ(seen.size(), 1u);     // The ARP request; the datagram waits.
+  EXPECT_EQ(loop.pending(), 1u);  // Its retry.
+  loop.run_for(util::milliseconds(500));  // No reply: the retry fires.
+  ASSERT_EQ(seen.size(), 2u);
+  const auto retry = pkt::decode_frame(seen[1]);
+  ASSERT_TRUE(retry && retry->arp);
+  EXPECT_EQ(retry->arp->target_ip, kPeerIp);
+  answer_arp(kPeerIp);
+  loop.run_for(util::milliseconds(1));
+  ASSERT_EQ(seen.size(), 3u);  // The datagram, flushed.
+  EXPECT_EQ(loop.pending(), 0u);
+  const std::uint64_t executed = loop.events_executed();
+  loop.run_for(util::seconds(2));
+  EXPECT_EQ(loop.events_executed(), executed);
+  EXPECT_EQ(seen.size(), 3u);
+}
+
 // allocate_port() keeps a use count per local port instead of scanning
 // every open connection per candidate. It must hand out exactly the
 // ports the scan did: the next port, in wrap-around order, that no
